@@ -206,22 +206,19 @@ def decode_cmd(trellis_file, code_name, distance, syndrome, channel_text):
 @click.option("--p-step", type=float, required=True)
 @click.option("--samples", type=int, required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--workers", type=int, default=1)
 @click.option("--decoder", type=click.Choice(["full", "css", "block"]), default="full")
 @click.option("--out", "out_file", required=True)
 @click.option("--max-edges", type=int, default=10**8)
 @_guard
 def simulate_cmd(
-    code_name, distance, channel_kind, p_min, p_max, p_step, samples, seed, workers, decoder, out_file, max_edges
+    code_name, distance, channel_kind, p_min, p_max, p_step, samples, seed, decoder, out_file, max_edges
 ):
     """Monte Carlo logical failure rates over a physical-rate grid."""
     c = _load_code(code_name, distance, None)
     kind = channel_kind.replace("-", "_")
     grid = np.arange(p_min, p_max + p_step / 2, p_step)
     trellises = sim_mod.build_trellises(c, decoder, max_edges=max_edges)
-    points = sim_mod.run_montecarlo(
-        c, trellises, kind, grid, samples, seed, workers=workers, decoder=decoder
-    )
+    points = sim_mod.run_montecarlo(c, trellises, kind, grid, samples, seed, decoder=decoder)
     with open(out_file, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(

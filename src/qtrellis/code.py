@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -249,10 +250,49 @@ class StabilizerCode:
             not (g.x.any() and g.z.any()) for g in self.stabilizers
         )
 
+    @cached_property
+    def check_matrix(self) -> np.ndarray:
+        """Rows ``[-z | x]`` of the stabilizers: ``C @ [x | z]`` is the syndrome."""
+        return _frozen(_commutation_matrix(list(self.stabilizers)))
 
-def _extract_logicals(
-    stab_rows: np.ndarray, norm_rows: np.ndarray, p: int, n: int, k: int
-) -> list[PauliString]:
+    @cached_property
+    def logical_matrix(self) -> np.ndarray:
+        """Rows ``[-z | x]`` of the logical generators, in the same form."""
+        return _frozen(_commutation_matrix(list(self.logical_gens)))
+
+    @cached_property
+    def pure_error_map(self) -> np.ndarray:
+        """``T`` with ``s @ T`` a pure error of syndrome ``s``, shape (m, 2n).
+
+        From one RREF of ``[C | I_m]``; ``C`` has full row rank (``new_code``
+        checks it), so each row holds a pivot of ``C`` and its ``I_m`` part
+        gives that pivot's entry; free columns stay zero, as in
+        ``ffield.solve``.  For a CSS code ``T`` is block-diagonal: X-check
+        rows reach only the z half, Z-check rows only the x half.
+        """
+        C = self.check_matrix
+        m, width = C.shape
+        red, pivots, _ = ffield.rref(np.hstack([C, np.eye(m, dtype=np.int64)]), self.p)
+        T = np.zeros((m, width), dtype=np.int64)
+        T[:, pivots] = red[:, width:].T
+        return _frozen(T)
+
+    @cached_property
+    def css_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Indices of the X-check and the Z-check stabilizers, in stabilizer order."""
+        C, n = self.check_matrix, self.n
+        has_x, has_z = C[:, n:].any(axis=1), C[:, :n].any(axis=1)
+        if (has_x & has_z).any():
+            raise CodeError("not CSS")
+        return _frozen(np.flatnonzero(has_x)), _frozen(np.flatnonzero(~has_x))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _extract_logicals(norm_rows: np.ndarray, p: int, n: int, k: int) -> list[PauliString]:
     """Pair 2k logical generators out of the normalizer basis.
 
     Symplectic Gram-Schmidt: repeatedly find a non-commuting pair, scale it
@@ -334,7 +374,7 @@ def new_code(
     normalizer_gens = [from_symplectic(v, p) for v in norm_rows]
 
     if logicals is None:
-        logical_gens = _extract_logicals(stab_rows, norm_rows, p, n, k)
+        logical_gens = _extract_logicals(norm_rows, p, n, k)
     else:
         if len(logicals) != 2 * k:
             raise CodeError(f"expected {2 * k} logical generators")
@@ -421,14 +461,9 @@ def css_split(code: StabilizerCode) -> tuple[CssPart, CssPart]:
 
     Raises CodeError("not CSS") when some stabilizer mixes X and Z exponents.
     """
-    x_checks, z_checks = [], []
-    for g in code.stabilizers:
-        if g.x.any() and g.z.any():
-            raise CodeError("not CSS")
-        if g.x.any():
-            x_checks.append(g)
-        else:
-            z_checks.append(g)
+    x_rows, z_rows = code.css_rows
+    x_checks = [code.stabilizers[j] for j in x_rows]
+    z_checks = [code.stabilizers[j] for j in z_rows]
     p, n = code.p, code.n
 
     def part(checks: list[PauliString], axis: str) -> CssPart:

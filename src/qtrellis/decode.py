@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ffield
 from .pauli import PauliString, from_symplectic, mul, sym_inner, syndrome
-from .code import StabilizerCode, CssPart, css_split
-from .trellis import Trellis, shift
+from .code import StabilizerCode
+from .trellis import Trellis, TrellisError
 
 SUCCESS = "success"
 LOGICAL_FAILURE = "logical_failure"
@@ -94,15 +93,13 @@ def weights_from_channel(channel, n: int, *, p: int = 2, css_axis: str | None = 
     probs = _site_probs(kind, rate, p)
     if (probs < 0).any() or probs.sum() > 1 + 1e-12:
         raise DecodeError("invalid channel probabilities")
-    full = np.full((p, p), 0.0)
+    full = np.zeros((p, p))
     if css_axis is None:
         full = probs
     elif css_axis == "X":
         # labels {I, Z, ...}: only zero X-exponent entries are reachable
-        full[:] = 0.0
         full[0, :] = probs.sum(axis=0)
     elif css_axis == "Z":
-        full[:] = 0.0
         full[:, 0] = probs.sum(axis=1)
     else:
         raise DecodeError(f"unknown css axis {css_axis!r}")
@@ -111,20 +108,33 @@ def weights_from_channel(channel, n: int, *, p: int = 2, css_axis: str | None = 
     return WeightTable(p, n, np.broadcast_to(w, (n, p, p)).copy())
 
 
-def pure_error(code: StabilizerCode, s: np.ndarray) -> PauliString:
-    """Any Pauli string whose syndrome equals ``s`` (a pseudoinverse)."""
-    s = np.asarray(s, dtype=np.int64) % code.p
-    if s.shape != (len(code.stabilizers),):
+# the css_axis of each trellis of a decoder mode; the block decoder takes
+# one table over all n sites and slices it per inner block
+_MODE_AXES = {"full": {"full": None}, "css": {"x": "X", "z": "Z"}, "block": {"inner": "X"}}
+
+
+def mode_weights(code: StabilizerCode, mode: str, channel) -> dict[str, WeightTable]:
+    """Weight tables of a channel for the trellises of a decoder mode, keyed like them."""
+    if mode not in _MODE_AXES:
+        raise DecodeError(f"unknown decoder mode {mode!r}")
+    return {
+        key: weights_from_channel(channel, code.n, p=code.p, css_axis=axis)
+        for key, axis in _MODE_AXES[mode].items()
+    }
+
+
+def _syndrome_rows(code: StabilizerCode, S) -> np.ndarray:
+    """Syndromes as a (count, m) array mod p."""
+    S = np.asarray(S, dtype=np.int64) % code.p
+    if S.ndim != 2 or S.shape[1] != len(code.stabilizers):
         raise DecodeError("syndrome length must match the stabilizer count")
-    n, p = code.n, code.p
-    C = np.zeros((len(code.stabilizers), 2 * n), dtype=np.int64)
-    for j, g in enumerate(code.stabilizers):
-        C[j, :n] = (-g.z) % p
-        C[j, n:] = g.x
-    v = ffield.solve(C, s, p)
-    if v is None:
-        raise DecodeError("syndrome is inconsistent with the stabilizers")
-    return from_symplectic(v, p)
+    return S
+
+
+def pure_error(code: StabilizerCode, s: np.ndarray) -> PauliString:
+    """A Pauli string whose syndrome equals ``s``, linear in ``s``."""
+    S = _syndrome_rows(code, np.asarray(s)[None])
+    return from_symplectic(S[0] @ code.pure_error_map % code.p, code.p)
 
 
 def _viterbi_arrays(
@@ -182,6 +192,126 @@ def viterbi(t: Trellis, weights: WeightTable) -> tuple[PauliString, float]:
     return PauliString(t.p, xs[0], zs[0]), float(total[0])
 
 
+def _check_system(code: StabilizerCode, t: Trellis, sites: int, weights: WeightTable) -> None:
+    if t.n != sites or t.p != code.p:
+        raise TrellisError("trellis acts on a different system")
+    if weights.n != code.n or weights.p != code.p:
+        raise DecodeError("weight table does not match the code")
+
+
+def _decode_part(
+    code: StabilizerCode, t: Trellis, weights: WeightTable, S: np.ndarray, T: np.ndarray, cols
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Viterbi over ``t`` shifted by the pure errors ``S @ T``.
+
+    ``cols`` selects the pure-error columns that the rows of ``T`` can
+    reach; the others stay zero.  A batch whose syndromes are all zero
+    decodes the zero syndrome once and broadcasts it.
+    """
+    _check_system(code, t, code.n, weights)
+    n, count = code.n, S.shape[0]
+    if not S.any():
+        S = S[:1]
+    shift = np.zeros((S.shape[0], 2 * n), dtype=np.int64)
+    shift[:, cols] = S @ T[:, cols] % code.p
+    xs, zs, total = _viterbi_arrays(t, weights.table, shift[:, :n], shift[:, n:])
+    if S.shape[0] != count:
+        xs, zs, total = (np.repeat(a, count, axis=0) for a in (xs, zs, total))
+    return xs, zs, total
+
+
+# outer stage of the block decoder: unit cost per flipped inner block
+_BLOCK_FLIP_WEIGHTS = np.broadcast_to(np.array([[0.0, 1.0], [np.inf, np.inf]]), (7, 2, 2))
+
+
+def _block_decode(
+    code: StabilizerCode, inner: Trellis, weights: WeightTable, S: np.ndarray, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-stage decoder of the level-2 Steane X-checks for Z corrections.
+
+    Stage 1 decodes each of the seven inner blocks on the 7-qubit X-check
+    trellis, shifted by that block of the pure error.  Pure error plus
+    correction then has zero inner syndrome in every block, so the parity
+    of each block is its logical class, and the class vector is a pure
+    error of the outer (block-level) syndrome.  Stage 2 decodes it on the
+    same trellis and flips whole blocks.  Only the X-check rows are read.
+    """
+    n, count = code.n, S.shape[0]
+    if n != 49 or code.p != 2:
+        raise DecodeError("block decoding expects the level-2 Steane code")
+    _check_system(code, inner, 7, weights)
+    x_rows = code.css_rows[0]
+    shift = (S[:, x_rows] @ T[x_rows, n:] % 2).reshape(count, 7, 7)
+    zero = np.zeros((count, 7), dtype=np.int64)
+    corr = np.empty_like(shift)
+    for b in range(7):
+        _, corr[:, b], _ = _viterbi_arrays(inner, weights.table[7 * b : 7 * b + 7], zero, shift[:, b])
+    parity = (shift + corr).sum(axis=2) % 2
+    _, outer, _ = _viterbi_arrays(inner, _BLOCK_FLIP_WEIGHTS, zero, parity)
+    corr_z = ((corr + outer[:, :, None]) % 2).reshape(count, n)
+    corr_x = np.zeros_like(corr_z)
+    return corr_x, corr_z, weights.table[np.arange(n), corr_x, corr_z].sum(axis=1)
+
+
+def measure_syndromes(
+    code: StabilizerCode, mode: str, err_x: np.ndarray, err_z: np.ndarray
+) -> np.ndarray:
+    """Syndromes of a batch of errors as ``mode`` reads them, shape (count, m).
+
+    ``full`` measures every row.  ``css`` and ``block`` compute each CSS
+    part's rows from the one exponent half it sees and skip a half that is
+    all zero; ``block`` reads only the X-check rows and handles Z noise only.
+    """
+    C, n, p = code.check_matrix, code.n, code.p
+    if mode == "full":
+        return (err_x @ C[:, :n].T + err_z @ C[:, n:].T) % p
+    if mode == "block" and err_x.any():
+        raise DecodeError("block decoding handles single-axis Z noise only")
+    x_rows, z_rows = code.css_rows
+    S = np.zeros((err_x.shape[0], C.shape[0]), dtype=np.int64)
+    S[:, x_rows] = err_z @ C[x_rows, n:].T % p
+    if mode == "css" and err_x.any():
+        S[:, z_rows] = err_x @ C[z_rows, :n].T % p
+    return S
+
+
+def decode_syndromes(
+    code: StabilizerCode,
+    trellises: dict[str, Trellis],
+    mode: str,
+    weights: dict[str, WeightTable],
+    S: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-weight corrections for a batch of syndromes, shape (count, m).
+
+    Each syndrome is mapped to a pure error by ``code.pure_error_map`` and
+    the zero-syndrome trellises are shifted by it on the fly, so the result
+    depends on the syndrome alone.  ``mode`` is ``"full"`` (trellis key
+    ``"full"``), ``"css"`` (the X-check trellis ``"x"`` yields the Z
+    corrections, the Z-check trellis ``"z"`` the X corrections) or
+    ``"block"`` (level-2 Steane on the 7-qubit X-check trellis ``"inner"``).
+    ``weights`` holds one WeightTable per key (see :func:`mode_weights`).
+    Returns the x and z exponents of the corrections, each (count, n), and
+    their weights.
+    """
+    n = code.n
+    S = _syndrome_rows(code, S)
+    T = code.pure_error_map
+    # the map of a CSS code is block-diagonal: each part reads its own
+    # syndrome rows and fills one half of the pure error
+    if mode == "full":
+        return _decode_part(code, trellises["full"], weights["full"], S, T, slice(None))
+    if mode == "css":
+        x_rows, z_rows = code.css_rows
+        tx, tz = trellises["x"], trellises["z"]
+        _, corr_z, wx = _decode_part(code, tx, weights["x"], S[:, x_rows], T[x_rows], slice(n, None))
+        corr_x, _, wz = _decode_part(code, tz, weights["z"], S[:, z_rows], T[z_rows], slice(None, n))
+        return corr_x, corr_z, wx + wz
+    if mode == "block":
+        return _block_decode(code, trellises["inner"], weights["inner"], S, T)
+    raise DecodeError(f"unknown decoder mode {mode!r}")
+
+
 def classify_residual(
     code: StabilizerCode, true_error: PauliString, correction: PauliString
 ) -> tuple[str, tuple[int, ...]]:
@@ -198,6 +328,30 @@ def classify_residual(
     return (SUCCESS if not any(flags) else LOGICAL_FAILURE), flags
 
 
+def _decode_one(
+    code: StabilizerCode,
+    trellises: dict[str, Trellis],
+    mode: str,
+    weights: dict[str, WeightTable],
+    s: np.ndarray,
+    true_error: PauliString | None,
+) -> DecodeOutcome:
+    """Decode one syndrome, verify it against the rows the mode reads, classify."""
+    s = np.asarray(s, dtype=np.int64) % code.p
+    corr_x, corr_z, total = decode_syndromes(code, trellises, mode, weights, s[None])
+    if not np.isfinite(total[0]):
+        raise DecodeError("no finite-weight path through the trellis")
+    correction = PauliString(code.p, corr_x[0], corr_z[0])
+    rows = code.css_rows[0] if mode == "block" else slice(None)
+    if np.any((code.check_matrix[rows] @ correction.symplectic() - s[rows]) % code.p):
+        cls, flags = INCONSISTENT, ()
+    elif true_error is None:
+        cls, flags = SUCCESS, ()
+    else:
+        cls, flags = classify_residual(code, true_error, correction)
+    return DecodeOutcome(correction, float(total[0]), cls, flags)
+
+
 def decode(
     code: StabilizerCode,
     base: Trellis,
@@ -205,30 +359,8 @@ def decode(
     weights: WeightTable,
     true_error: PauliString | None = None,
 ) -> DecodeOutcome:
-    """Full pipeline: pure error, shift, Viterbi, verification."""
-    T = pure_error(code, s)
-    shifted = shift(base, T)
-    correction, weight = viterbi(shifted, weights)
-    check = syndrome(list(code.stabilizers), correction)
-    if np.any((check - np.asarray(s)) % code.p):
-        return DecodeOutcome(correction, weight, INCONSISTENT, ())
-    if true_error is None:
-        return DecodeOutcome(correction, weight, SUCCESS, ())
-    cls, flags = classify_residual(code, true_error, correction)
-    return DecodeOutcome(correction, weight, cls, flags)
-
-
-def _part_pure_error(part: CssPart, s: np.ndarray) -> PauliString:
-    """A dual-axis string reproducing the part's syndrome components."""
-    p, n = part.p, part.n
-    H = np.zeros((len(part.checks), n), dtype=np.int64)
-    for j, chk in enumerate(part.checks):
-        H[j] = chk.x if part.axis == "X" else chk.z
-    v = ffield.solve(H, np.asarray(s, dtype=np.int64) % p, p)
-    if v is None:
-        raise DecodeError("part syndrome is inconsistent")
-    zero = np.zeros(n, dtype=np.int64)
-    return PauliString(p, zero, v) if part.axis == "X" else PauliString(p, v, zero)
+    """Decode one syndrome on the normalizer trellis ``base``; verify and classify."""
+    return _decode_one(code, {"full": base}, "full", {"full": weights}, s, true_error)
 
 
 def css_decode(
@@ -244,30 +376,11 @@ def css_decode(
     ``channel`` is anything :func:`weights_from_channel` accepts, or a
     pair of ready WeightTables ``(x_part_weights, z_part_weights)``.
     """
-    x_part, z_part = css_split(code)
-    s = np.asarray(s, dtype=np.int64) % code.p
     if isinstance(channel, tuple) and all(isinstance(w, WeightTable) for w in channel):
-        wx, wz = channel
+        weights = dict(zip(("x", "z"), channel))
     else:
-        wx = weights_from_channel(channel, code.n, p=code.p, css_axis="X")
-        wz = weights_from_channel(channel, code.n, p=code.p, css_axis="Z")
-    correction = None
-    weight_total = 0.0
-    pos = {g: i for i, g in enumerate(code.stabilizers)}
-    for part, trell, wt in ((x_part, x_trellis, wx), (z_part, z_trellis, wz)):
-        # syndrome components of this part's checks, in check order
-        s_part = np.array([s[pos[g]] for g in part.checks], dtype=np.int64)
-        T = _part_pure_error(part, s_part)
-        corr, w = viterbi(shift(trell, T), wt)
-        weight_total += w
-        correction = corr if correction is None else mul(correction, corr)
-    check = syndrome(list(code.stabilizers), correction)
-    if np.any((check - s) % code.p):
-        return DecodeOutcome(correction, weight_total, INCONSISTENT, ())
-    if true_error is None:
-        return DecodeOutcome(correction, weight_total, SUCCESS, ())
-    cls, flags = classify_residual(code, true_error, correction)
-    return DecodeOutcome(correction, weight_total, cls, flags)
+        weights = mode_weights(code, "css", channel)
+    return _decode_one(code, {"x": x_trellis, "z": z_trellis}, "css", weights, s, true_error)
 
 
 def block_decode(
@@ -283,63 +396,7 @@ def block_decode(
     X-part trellis; stage 2 decodes the induced block-level syndrome on
     the same trellis and lifts the result to full-block Z strings.  The
     sequential edge cost is twice one part trellis (36 + 36 = 72 edges)
-    against 844 for the flat [[49,1,9]] X-part trellis.
+    against 844 for the flat [[49,1,9]] X-part trellis.  Only the X-check
+    components of ``s`` are read and verified (Z noise assumed).
     """
-    n, p = code.n, code.p
-    if n != 49 or p != 2:
-        raise DecodeError("block decoding expects the level-2 Steane code")
-    x_part, _ = css_split(code)
-    pos = {g: i for i, g in enumerate(code.stabilizers)}
-    s = np.asarray(s, dtype=np.int64) % p
-    s_x = {g: s[pos[g]] for g in x_part.checks}
-    # split X-checks into inner (single block) and outer (block-spanning)
-    inner_checks: dict[int, list] = {b: [] for b in range(7)}
-    outer_checks = []
-    for g in x_part.checks:
-        blocks = sorted(set((j // 7) for j in np.flatnonzero(g.x)))
-        if len(blocks) == 1:
-            inner_checks[blocks[0]].append(g)
-        else:
-            outer_checks.append(g)
-    z_corr = np.zeros(n, dtype=np.int64)
-    inner_weights = WeightTable(p, 7, weights.table[:7].copy())
-    for b in range(7):
-        checks = inner_checks[b]
-        H = np.array([g.x[7 * b : 7 * b + 7] for g in checks], dtype=np.int64)
-        sb = np.array([s_x[g] for g in checks], dtype=np.int64)
-        v = ffield.solve(H, sb, p)
-        if v is None:
-            raise DecodeError("inconsistent inner syndrome")
-        T = PauliString(p, np.zeros(7, dtype=np.int64), v)
-        block_weights = WeightTable(p, 7, weights.table[7 * b : 7 * b + 7].copy())
-        corr, _ = viterbi(shift(inner_trellis, T), block_weights)
-        z_corr[7 * b : 7 * b + 7] = corr.z
-    # stage 2: block-level parities against the outer checks
-    residual_z = z_corr.copy()
-    outer_s = []
-    H_out = []
-    for g in outer_checks:
-        blocks = sorted(set((j // 7) for j in np.flatnonzero(g.x)))
-        parity = sum(int(residual_z[7 * b : 7 * b + 7].sum()) for b in blocks) % p
-        outer_s.append((s_x[g] - parity) % p)
-        row = np.zeros(7, dtype=np.int64)
-        row[blocks] = 1
-        H_out.append(row)
-    v = ffield.solve(np.array(H_out, dtype=np.int64), np.array(outer_s, dtype=np.int64), p)
-    if v is None:
-        raise DecodeError("inconsistent outer syndrome")
-    T_out = PauliString(p, np.zeros(7, dtype=np.int64), v)
-    uniform = WeightTable(p, 7, np.broadcast_to(np.array([[0.0, 1.0], [np.inf, np.inf]]), (7, 2, 2)).copy())
-    outer_corr, _ = viterbi(shift(inner_trellis, T_out), uniform)
-    for b in np.flatnonzero(outer_corr.z):
-        z_corr[7 * b : 7 * b + 7] = (z_corr[7 * b : 7 * b + 7] + 1) % p
-    correction = PauliString(p, np.zeros(n, dtype=np.int64), z_corr)
-    # verify against the X-type components only (Z noise assumed)
-    weight = float(np.sum(weights.table[np.arange(n), 0, z_corr % p]))
-    for g in x_part.checks:
-        if sym_inner(g, correction) != int(s_x[g]):
-            return DecodeOutcome(correction, weight, INCONSISTENT, ())
-    if true_error is None:
-        return DecodeOutcome(correction, weight, SUCCESS, ())
-    cls, flags = classify_residual(code, true_error, correction)
-    return DecodeOutcome(correction, weight, cls, flags)
+    return _decode_one(code, {"inner": inner_trellis}, "block", {"inner": weights}, s, true_error)

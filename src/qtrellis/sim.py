@@ -13,12 +13,7 @@ import numpy as np
 from .pauli import PauliString
 from .code import StabilizerCode, css_split
 from .trellis import Trellis, CapacityError, build
-from .decode import (
-    WeightTable,
-    weights_from_channel,
-    _site_probs,
-    _viterbi_arrays,
-)
+from .decode import decode_syndromes, measure_syndromes, mode_weights, _site_probs
 
 _WILSON_Z = 1.959963984540054  # 95%
 
@@ -117,84 +112,6 @@ def sample_error(
             return err
 
 
-def _logical_matrix(code: StabilizerCode) -> np.ndarray:
-    """Rows compute commutation of a symplectic vector with each logical."""
-    n, p = code.n, code.p
-    L = np.zeros((len(code.logical_gens), 2 * n), dtype=np.int64)
-    for j, g in enumerate(code.logical_gens):
-        L[j, :n] = (-g.z) % p
-        L[j, n:] = g.x
-    return L
-
-
-def _decode_batch(
-    code: StabilizerCode,
-    trellises: dict[str, Trellis],
-    decoder: str,
-    channel: ChannelSpec,
-    err_x: np.ndarray,
-    err_z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Corrections for a batch of errors, shifting by the errors themselves."""
-    n, p = code.n, code.p
-    if decoder == "full":
-        wt = weights_from_channel(channel, n, p=p)
-        return _viterbi_arrays(trellises["full"], wt.table, err_x, err_z)[:2]
-    if decoder == "css":
-        zero = np.zeros_like(err_x)
-        # the X-stabilizer trellis corrects the Z-part of the error
-        if err_z.any():
-            wx = weights_from_channel(channel, n, p=p, css_axis="X")
-            _, corr_z, _ = _viterbi_arrays(trellises["x"], wx.table, zero, err_z)
-        else:
-            corr_z = zero
-        if err_x.any():
-            wz = weights_from_channel(channel, n, p=p, css_axis="Z")
-            corr_x, _, _ = _viterbi_arrays(trellises["z"], wz.table, err_x, zero)
-        else:
-            corr_x = zero
-        return corr_x, corr_z
-    if decoder == "block":
-        return _block_decode_batch(trellises["inner"], channel, err_x, err_z)
-    raise SimError(f"unknown decoder mode {decoder!r}")
-
-
-def _block_decode_batch(
-    inner: Trellis, channel: ChannelSpec, err_x: np.ndarray, err_z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized two-stage decoder for level-2 Steane under Z noise."""
-    count = err_z.shape[0]
-    if err_x.any():
-        raise SimError("block decoding handles single-axis Z noise only")
-    wt = weights_from_channel(channel, 7, css_axis="X")
-    zero = np.zeros((7 * count, 7), dtype=np.int64)
-    inner_z = err_z.reshape(count * 7, 7)
-    _, corr_z, _ = _viterbi_arrays(inner, wt.table, zero, inner_z)
-    corr_z = corr_z.reshape(count, 7, 7)
-    # the residual per block has zero inner syndrome, so its logical class
-    # is its parity; the class vector feeds the outer stage as a Z shift
-    parity = (err_z.reshape(count, 7, 7) + corr_z).sum(axis=2) % 2
-    uniform = np.broadcast_to(np.array([[0.0, 1.0], [np.inf, np.inf]]), (7, 2, 2))
-    zero1 = np.zeros((count, 7), dtype=np.int64)
-    _, outer_z, _ = _viterbi_arrays(inner, uniform, zero1, parity)
-    corr_z = (corr_z + outer_z[:, :, None]) % 2
-    return np.zeros_like(err_z), corr_z.reshape(count, 49)
-
-
-def _failures(
-    code: StabilizerCode,
-    err_x: np.ndarray,
-    err_z: np.ndarray,
-    corr_x: np.ndarray,
-    corr_z: np.ndarray,
-) -> np.ndarray:
-    """Boolean failure flags for decoded samples (residual acts logically)."""
-    p = code.p
-    res = np.hstack([(err_x + corr_x) % p, (err_z + corr_z) % p])
-    L = _logical_matrix(code)
-    return (res @ L.T % p).any(axis=1)
-
-
 def exact_rate(
     code: StabilizerCode,
     channel: ChannelSpec,
@@ -226,55 +143,38 @@ def exact_rate(
     chunk = 1 << 18
     powers = p ** np.arange(bits, dtype=np.int64)
     m = len(code.stabilizers)
-    C = np.zeros((m, 2 * n), dtype=np.int64)
-    for j, g in enumerate(code.stabilizers):
-        C[j, :n] = (-g.z) % p
-        C[j, n:] = g.x
-    L = _logical_matrix(code)
+    L = code.logical_matrix
     radix = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
-    def split(pat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if channel.kind == "dephasing_z":
-            return np.zeros_like(pat), pat
-        if channel.kind == "dephasing_x":
-            return pat, np.zeros_like(pat)
-        return pat[:, :n], pat[:, n:]
+    def patterns():
+        for lo in range(0, total, chunk):
+            idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+            pat = (idx[:, None] // powers) % p
+            if channel.kind == "dephasing_z":
+                yield np.zeros_like(pat), pat
+            elif channel.kind == "dephasing_x":
+                yield pat, np.zeros_like(pat)
+            else:
+                yield pat[:, :n], pat[:, n:]
 
     # pass 1: the set of syndromes the channel can actually produce
     seen: set[int] = set()
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        err_x, err_z = split((idx[:, None] // powers) % p)
-        s = (err_x @ C[:, :n].T + err_z @ C[:, n:].T) % p
-        seen.update(np.unique(s @ radix).tolist())
+    for err_x, err_z in patterns():
+        seen.update(np.unique(measure_syndromes(code, decoder, err_x, err_z) @ radix).tolist())
     unique = np.array(sorted(seen), dtype=np.int64)
     s_digits = (unique[:, None] // radix) % p
-    # decode every distinct syndrome once, shifting by a linear pure error
-    from .decode import pure_error
-
-    Tmat = np.array(
-        [pure_error(code, row).symplectic() for row in np.eye(m, dtype=np.int64)]
-    )
-    T = s_digits @ Tmat % p
-    if decoder == "block" and channel.kind == "dephasing_z":
-        # the inner-block stage expects a pure-Z shift; valid because every
-        # occurring syndrome has zero Z-check components
-        T[:, :n] = 0
+    # decode every distinct syndrome once
+    weights = mode_weights(code, decoder, channel)
     corr_flags = np.zeros((unique.size, L.shape[0]), dtype=np.int64)
     for lo in range(0, unique.size, 4096):
         hi = min(lo + 4096, unique.size)
-        corr_x, corr_z = _decode_batch(
-            code, trellises, decoder, channel, T[lo:hi, :n], T[lo:hi, n:]
-        )
+        corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, s_digits[lo:hi])
         corr_flags[lo:hi] = (corr_x @ L[:, :n].T + corr_z @ L[:, n:].T) % p
     # pass 2: accumulate exact probabilities of the failing patterns
     rate = 0.0
     site = r / (p - 1) if channel.single_axis else r / (p * p - 1)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        err_x, err_z = split((idx[:, None] // powers) % p)
-        s = (err_x @ C[:, :n].T + err_z @ C[:, n:].T) % p
-        rows = np.searchsorted(unique, s @ radix)
+    for err_x, err_z in patterns():
+        rows = np.searchsorted(unique, measure_syndromes(code, decoder, err_x, err_z) @ radix)
         err_flags = (err_x @ L[:, :n].T + err_z @ L[:, n:].T) % p
         fail = ((err_flags + corr_flags[rows]) % p).any(axis=1)
         weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
@@ -310,7 +210,6 @@ def run_montecarlo(
     grid,
     samples: int,
     seed: int,
-    workers: int = 1,
     decoder: str = "full",
     batch: int = 4096,
 ) -> list[DataPoint]:
@@ -319,12 +218,11 @@ def run_montecarlo(
     For each grid point, ``samples`` errors are drawn conditioned on being
     non-identity; failures are counted after decoding and classification.
     The generator stream depends only on (seed, point index), making the
-    output invariant to ``workers`` and batch size.
+    output invariant to the batch size.  Each batch is decoded from the
+    syndromes of its errors alone.
     """
     if samples <= 0:
         raise SimError("sample count must be positive")
-    if workers < 1:
-        raise SimError("worker count must be positive")
     n, p = code.n, code.p
     points = []
     for pt_index, p_phys in enumerate(grid):
@@ -333,7 +231,7 @@ def run_montecarlo(
             raise SimError("cannot condition on errors at zero noise")
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pt_index,)))
         # draw all conditioned samples first, in fixed-size chunks, so the
-        # random stream never depends on batching or worker layout
+        # random stream never depends on batching
         err_x = np.empty((samples, n), dtype=np.int64)
         err_z = np.empty((samples, n), dtype=np.int64)
         collected = 0
@@ -345,15 +243,15 @@ def run_montecarlo(
             err_x[collected : collected + take] = cx[:take]
             err_z[collected : collected + take] = cz[:take]
             collected += take
+        weights = mode_weights(code, decoder, channel)
         failures = 0
         for lo in range(0, samples, batch):
             hi = min(lo + batch, samples)
-            corr_x, corr_z = _decode_batch(
-                code, trellises, decoder, channel, err_x[lo:hi], err_z[lo:hi]
-            )
-            failures += int(
-                _failures(code, err_x[lo:hi], err_z[lo:hi], corr_x, corr_z).sum()
-            )
+            S = measure_syndromes(code, decoder, err_x[lo:hi], err_z[lo:hi])
+            corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, S)
+            # the decode fails when error times correction acts logically
+            res = np.hstack([err_x[lo:hi] + corr_x, err_z[lo:hi] + corr_z])
+            failures += int((res @ code.logical_matrix.T % p).any(axis=1).sum())
         rate_cond = failures / samples
         p_nt = 1.0 - (1.0 - channel.p_phys) ** n
         lo, hi = _wilson(failures, samples)

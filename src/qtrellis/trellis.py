@@ -22,6 +22,7 @@ from .code import (
     StabilizerCode,
     TofGenerators,
     TrellisProfile,
+    _commutation_matrix,
     to_tof,
     profile as tof_profile,
     permute,
@@ -168,10 +169,7 @@ def _resolve(source, order):
     maps = []
     if checks is not None:
         # column c of M computes sym_inner(checks[c], prefix): [-z_c | x_c]
-        full = np.zeros((2 * n, len(checks)), dtype=np.int64)
-        for c, chk in enumerate(checks):
-            full[:n, c] = (-chk.z) % p
-            full[n:, c] = chk.x % p
+        full = _commutation_matrix(list(checks)).T
         for i in range(n + 1):
             masked = full.copy()
             masked[i:n] = 0
@@ -544,12 +542,24 @@ def deserialize(data: bytes) -> Trellis:
             basis = np.frombuffer(r.take(2 * rk * m), dtype=np.int16).reshape(rk, m).astype(np.int64)
             offset = np.frombuffer(r.take(2 * m), dtype=np.int16).astype(np.int64)
             layers.append(TrellisLayer(p, size, basis, pivots, offset))
+    if layers[0].size != 1 or layers[-1].size != 1 or min(layer.size for layer in layers) < 1:
+        raise TrellisError("terminal layers must hold one vertex and no layer may be empty")
     sections = []
-    for _ in range(n):
+    for i in range(n):
         (count,) = r.unpack("<Q")
         src = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
         tgt = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
         lab = np.frombuffer(r.take(4 * count), dtype=np.int16).reshape(count, 2).astype(np.int64)
+        # the decoder indexes vertices by source and reshapes each section
+        # to (target, in-degree), so both must be exact
+        v_prev, v_next = layers[i].size, layers[i + 1].size
+        deg = count // v_next
+        if deg < 1 or count != deg * v_next or not np.array_equal(tgt, np.arange(count) // deg):
+            raise TrellisError(f"section {i + 1}: targets not sorted with a uniform in-degree")
+        if src.min() < 0 or src.max() >= v_prev:
+            raise TrellisError(f"section {i + 1}: source index outside its layer")
+        if lab.min() < 0 or lab.max() >= p:
+            raise TrellisError(f"section {i + 1}: label outside [0, p)")
         sections.append(TrellisSection(p, src, tgt, lab))
     maps = None
     if has_labels:

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from qtrellis.cli import main
+from qtrellis.trellis import deserialize, serialize
 
 
 @pytest.fixture()
@@ -102,3 +104,24 @@ def test_exit_code_io_error(runner):
     assert result.exit_code == 4
     result = runner.invoke(main, ["profile", "--code", "/nonexistent/code.txt"])
     assert result.exit_code == 4
+
+
+def test_exit_code_corrupted_trellis(runner, tmp_path):
+    """A stored trellis with a source index outside its layer is a format error."""
+    out = tmp_path / "steane.trellis"
+    assert runner.invoke(main, ["build", "--code", "steane", "--out", str(out)]).exit_code == 0
+    t = deserialize(out.read_bytes())
+    source = t.sections[3].source.copy()
+    source[0] = 10**6
+    sections = list(t.sections)
+    sections[3] = replace(sections[3], source=source)
+    out.write_bytes(serialize(replace(t, sections=tuple(sections))))
+    result = runner.invoke(
+        main,
+        [
+            "decode", "--trellis", str(out), "--code", "steane",
+            "--syndrome", "0,0,1,0,0,0", "--channel", "depolarizing:0.1",
+        ],
+    )
+    assert result.exit_code == 4
+    assert "source index" in result.output

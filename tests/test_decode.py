@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qtrellis import code as code_mod
+from qtrellis import ffield
 from qtrellis.code import css_split
 from qtrellis.decode import (
     DecodeError,
@@ -27,8 +28,8 @@ from qtrellis.pauli import (
     parse_pauli,
     syndrome,
 )
-from qtrellis.sim import ChannelSpec
-from qtrellis.trellis import build, shift
+from qtrellis.sim import ChannelSpec, build_trellises
+from qtrellis.trellis import TrellisError, build, shift
 
 from conftest import coset_min_weight, group_elements
 
@@ -86,7 +87,7 @@ def test_invalid_channel_rejected():
 
 
 # ---------------------------------------------------------------------------
-# pure errors
+# pure errors and trellis/code agreement
 
 
 def test_pure_error_reproduces_syndrome(five_one_three, rng):
@@ -95,8 +96,28 @@ def test_pure_error_reproduces_syndrome(five_one_three, rng):
         s = rng.integers(0, 2, 4).astype(np.int64)
         T = pure_error(five_one_three, s)
         assert np.array_equal(syndrome(gens, T) % 2, s)
+        # the cached linear map gives ffield.solve's particular solution
+        assert np.array_equal(T.symplectic(), ffield.solve(five_one_three.check_matrix, s, 2))
     with pytest.raises(DecodeError):
         pure_error(five_one_three, np.array([1, 0, 0]))
+
+
+def test_trellis_of_another_system_rejected(five_one_three, steane):
+    """A trellis whose n or p differs from the code's is a TrellisError, in every mode."""
+    s = np.zeros(6, dtype=np.int64)
+    weights = weights_from_channel(ChannelSpec("depolarizing", 0.1), 7)
+    with pytest.raises(TrellisError):
+        decode(steane, build(five_one_three), s, weights)
+    qutrit = code_mod.new_code(3, [PauliString(3, [1, 1, 1, 1, 1, 1, 0], [0] * 7)])
+    with pytest.raises(TrellisError):
+        decode(steane, build(qutrit), s, weights)
+    surface = build_trellises(code_mod.builtin("rotated_surface", 3), "css")
+    with pytest.raises(TrellisError):
+        css_decode(steane, surface["x"], surface["z"], s, ChannelSpec("depolarizing", 0.1))
+    level2 = code_mod.builtin("steane_level2")
+    z_weights = weights_from_channel(ChannelSpec("dephasing_z", 0.1), 49, css_axis="X")
+    with pytest.raises(TrellisError):
+        block_decode(level2, surface["x"], np.zeros(48, dtype=np.int64), z_weights)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from qtrellis import code as code_mod
+from qtrellis.decode import decode_syndromes, measure_syndromes, mode_weights
 from qtrellis.sim import (
     ChannelSpec,
     DataPoint,
     SimError,
+    _sample_batch,
     build_trellises,
     exact_rate,
     fit_threshold,
@@ -78,6 +80,48 @@ def test_exact_rate_matches_montecarlo_d3():
     assert abs(pt.rate_uncond - exact) < 3 * sigma
 
 
+@pytest.mark.parametrize("name,param", [("steane", None), ("rotated_surface", 3)])
+def test_full_decoder_montecarlo_matches_exact_depolarizing(name, param):
+    """Monte Carlo decodes from syndromes only, so ties cannot favour the true error."""
+    code = code_mod.builtin(name, param)
+    trellises = build_trellises(code, "full")
+    channel = ChannelSpec("depolarizing", 0.1)
+    exact = exact_rate(code, channel, "full", trellises=trellises)
+    (pt,) = run_montecarlo(
+        code, trellises, "depolarizing", np.array([0.1]), 100000, 29, decoder="full"
+    )
+    sigma = np.sqrt(exact * (1 - exact) / pt.samples)
+    assert abs(pt.rate_uncond - exact) < 3 * sigma
+
+
+def test_decoding_sees_the_syndrome_only():
+    """An error and the same error times a random stabilizer get identical corrections."""
+    rng = np.random.default_rng(31)
+    cases = [
+        ("steane", None, "full", "depolarizing"),
+        ("rotated_surface", 3, "css", "depolarizing"),
+        ("steane_level2", None, "block", "dephasing_z"),
+    ]
+    for name, param, mode, kind in cases:
+        code = code_mod.builtin(name, param)
+        n = code.n
+        trellises = build_trellises(code, mode)
+        channel = ChannelSpec(kind, 0.1)
+        weights = mode_weights(code, mode, channel)
+        err_x, err_z = _sample_batch(channel, n, rng, 2000)
+        # Z noise only for the block decoder, so multiply by Z-type stabilizers
+        gens = [g for g in code.stabilizers if kind != "dephasing_z" or not g.x.any()]
+        stab = rng.integers(0, 2, (2000, len(gens))) @ np.array([g.symplectic() for g in gens]) % 2
+        assert stab.any(axis=1).sum() > 1900
+        moved_x, moved_z = (err_x + stab[:, :n]) % 2, (err_z + stab[:, n:]) % 2
+        S = measure_syndromes(code, mode, err_x, err_z)
+        a = decode_syndromes(code, trellises, mode, weights, S)
+        b = decode_syndromes(code, trellises, mode, weights, measure_syndromes(code, mode, moved_x, moved_z))
+        for u, v in zip(a, b):
+            assert np.array_equal(u, v)
+        assert np.array_equal(measure_syndromes(code, mode, a[0], a[1]), S)
+
+
 def test_montecarlo_reproducible_and_batch_invariant():
     code = code_mod.builtin("rotated_surface", 3)
     trellises = build_trellises(code, "css")
@@ -85,7 +129,7 @@ def test_montecarlo_reproducible_and_batch_invariant():
     a = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
     b = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
     c = run_montecarlo(
-        code, trellises, "dephasing_z", grid, 40000, 11, workers=4, decoder="css", batch=977
+        code, trellises, "dephasing_z", grid, 40000, 11, decoder="css", batch=977
     )
     assert a == b == c
     d = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 12, decoder="css")

@@ -4,10 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtrellis import code as code_mod
 from qtrellis.code import TrellisProfile, css_split, profile
-from qtrellis.decode import pure_error
+from qtrellis.decode import DecodeError, decode, pure_error, weights_from_channel
 from qtrellis.pauli import PauliString, identity, mul, parse_pauli, syndrome
 from qtrellis.trellis import (
     CapacityError,
@@ -334,6 +336,66 @@ def test_serialize_truncated_stream(t513):
         deserialize(blob[: len(blob) // 2])
     with pytest.raises(TrellisError):
         deserialize(b"NOTATRELLIS")
+
+
+_STEANE = code_mod.builtin("steane")
+_STEANE_TRELLIS = build(_STEANE)
+_STEANE_BLOB = serialize(_STEANE_TRELLIS)
+
+
+def _with_edge_entry(t: Trellis, i: int, field: str, j: int, value: int) -> bytes:
+    """The serialized trellis with one entry of section i's edge array replaced."""
+    sec = t.sections[i]
+    arr = getattr(sec, field).copy()
+    arr.reshape(-1)[j % arr.size] = value
+    sections = list(t.sections)
+    sections[i] = replace(sec, **{field: arr})
+    return serialize(replace(t, sections=tuple(sections)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(length=st.integers(0, len(_STEANE_BLOB) - 1))
+def test_deserialize_rejects_truncation(length):
+    with pytest.raises(TrellisError):
+        deserialize(_STEANE_BLOB[:length])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    i=st.integers(0, 6),
+    field=st.sampled_from(["source", "target", "label"]),
+    j=st.integers(0, 10**6),
+    delta=st.integers(1, 30000),  # labels are stored as int16
+    negative=st.booleans(),
+)
+def test_deserialize_rejects_out_of_range_edges(i, field, j, delta, negative):
+    """Sources outside their layer, unsorted or unbalanced targets, labels outside [0, p)."""
+    t = _STEANE_TRELLIS
+    sec = t.sections[i]
+    if field == "target":  # any change breaks the sorted, uniform in-degree layout
+        value = sec.target[j % sec.size] + (-delta if negative else delta)
+    else:
+        bound = t.layers[i].size if field == "source" else t.p
+        value = -delta if negative else bound - 1 + delta
+    with pytest.raises(TrellisError):
+        deserialize(_with_edge_entry(t, i, field, j, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=st.integers(len(b"QTRLS"), len(_STEANE_BLOB) - 1), xor=st.integers(1, 255))
+def test_corrupted_trellis_fails_cleanly(pos, xor):
+    """A corrupted byte ends in TrellisError on load, or in a decode that raises nothing else."""
+    blob = bytearray(_STEANE_BLOB)
+    blob[pos] ^= xor
+    try:
+        t = deserialize(bytes(blob))
+    except TrellisError:
+        return
+    weights = weights_from_channel(("depolarizing", 0.1), 7)
+    try:
+        decode(_STEANE, t, np.array([0, 0, 1, 0, 1, 0]), weights)
+    except (TrellisError, DecodeError):
+        pass
 
 
 def test_to_json(t513):
