@@ -8,7 +8,7 @@ text code-file format.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -18,8 +18,6 @@ from .pauli import (
     PauliString,
     format_pauli,
     from_symplectic,
-    identity,
-    mul,
     parse_pauli,
     sym_inner,
 )
@@ -51,18 +49,6 @@ def _commutation_matrix(gens: list[PauliString]) -> np.ndarray:
 # trellis-oriented form
 
 
-def left_index(P: PauliString) -> int:
-    """1-based position of the first non-identity site (0 for the identity)."""
-    nz = np.nonzero((P.x != 0) | (P.z != 0))[0]
-    return int(nz[0]) + 1 if nz.size else 0
-
-
-def right_index(P: PauliString) -> int:
-    """1-based position of the last non-identity site (0 for the identity)."""
-    nz = np.nonzero((P.x != 0) | (P.z != 0))[0]
-    return int(nz[-1]) + 1 if nz.size else 0
-
-
 @dataclass(frozen=True)
 class TofGenerators:
     """A generator set in trellis-oriented form with cached span data."""
@@ -77,98 +63,51 @@ class TofGenerators:
     def dim(self) -> int:
         return len(self.gens)
 
-    def spans(self) -> list[tuple[int, int]]:
-        return list(zip(self.left, self.right))
-
     def span_length(self) -> int:
         return sum(r - l + 1 for l, r in zip(self.left, self.right))
-
-
-def _site(vec: np.ndarray, n: int, j: int) -> tuple[int, int]:
-    # j is 1-based
-    return int(vec[j - 1]), int(vec[n + j - 1])
 
 
 def to_tof(gens: list[PauliString]) -> TofGenerators:
     """Reduce a generator set to trellis-oriented form.
 
     The returned set generates the same group, satisfies the left-right
-    property (no two members share a left or right index with proportional
-    end sites), and has minimal total span length.  Rows are canonicalized
-    so the leading site's first nonzero exponent is 1 and sorted by span.
+    property (members sharing a left or a right index have linearly
+    independent end sites), and so has minimal total span length.  Each
+    leading site's first nonzero exponent is 1; rows are sorted by span.
+
+    Columns are interleaved as x_1, z_1, ..., x_n, z_n, so column c lies on
+    site c // 2 + 1.  One RREF gives every row a distinct leading column;
+    one right-to-left sweep then gives every row a distinct trailing column.
+    End sites on distinct columns of one site are independent.
     """
     if not gens:
         raise ValueError("empty generator set")
-    p = gens[0].p
-    n = gens[0].n
-    rows = _symplectic_matrix(gens) % p
-    m = rows.shape[0]
-
-    def lidx(v):
-        for j in range(1, n + 1):
-            if v[j - 1] % p or v[n + j - 1] % p:
-                return j
-        return 0
-
-    def ridx(v):
-        for j in range(n, 0, -1):
-            if v[j - 1] % p or v[n + j - 1] % p:
-                return j
-        return 0
-
-    def reduce_row(u: int, helpers: list[int], j: int) -> bool:
-        # clear row u's site j using combinations of the helper rows' sites
-        target = np.array(_site(rows[u], n, j), dtype=np.int64)
-        mat = np.array([_site(rows[h], n, j) for h in helpers], dtype=np.int64).T
-        coeffs = ffield.solve(mat, target, p)
-        if coeffs is None:
-            return False
-        for c, h in zip(coeffs, helpers):
-            if c:
-                rows[u] = (rows[u] - c * rows[h]) % p
-        if not rows[u].any():
-            raise CodeError("dependent generators (reduction reached the identity)")
-        return True
-
-    # each replacement strictly shrinks one span, so this terminates
-    changed = True
-    while changed:
-        changed = False
-        # left ends: clear a row's leading site using group members whose
-        # right index does not exceed its own, so its span can only shrink
-        for u in range(m):
-            lu, ru = lidx(rows[u]), ridx(rows[u])
-            helpers = [
-                v
-                for v in range(m)
-                if v != u and lidx(rows[v]) == lu and ridx(rows[v]) <= ru
-            ]
-            if helpers and reduce_row(u, helpers, lu):
-                changed = True
-        # right ends, mirrored
-        for u in range(m):
-            lu, ru = lidx(rows[u]), ridx(rows[u])
-            helpers = [
-                v
-                for v in range(m)
-                if v != u and ridx(rows[v]) == ru and lidx(rows[v]) >= lu
-            ]
-            if helpers and reduce_row(u, helpers, ru):
-                changed = True
-
-    # canonical scaling: make the leading site's first nonzero exponent 1
-    for i in range(m):
-        l = lidx(rows[i])
-        a, b = _site(rows[i], n, l)
-        scale = ffield.inv_mod(a if a else b, p)
-        rows[i] = (rows[i] * scale) % p
-
-    order = sorted(range(m), key=lambda i: (lidx(rows[i]), ridx(rows[i]), rows[i].tolist()))
-    rows = rows[order]
-    out = tuple(from_symplectic(v, p) for v in rows)
-    lefts = tuple(lidx(v) for v in rows)
-    rights = tuple(ridx(v) for v in rows)
-    return TofGenerators(p, n, out, lefts, rights)
+    p, n, m = gens[0].p, gens[0].n, len(gens)
+    interleaved = _symplectic_matrix(gens).reshape(m, 2, n).transpose(0, 2, 1)
+    rows, _, rk = ffield.rref(interleaved.reshape(m, 2 * n), p)
+    if rk < m:
+        raise CodeError(f"dependent generators: rank {rk} < {m}")
+    # rows come in increasing pivot order; a row swept earlier starts later,
+    # so clearing a trailing column with it never moves a left end
+    owner: dict[int, int] = {}
+    for r in range(m - 1, -1, -1):
+        while (t := int(np.flatnonzero(rows[r])[-1])) in owner:
+            v = owner[t]
+            c = rows[r, t] * ffield.inv_mod(int(rows[v, t]), p)
+            rows[r] = (rows[r] - c * rows[v]) % p
+        owner[t] = r
+    rows = rows.reshape(m, n, 2).transpose(0, 2, 1).reshape(m, 2 * n)
+    occupied = (rows[:, :n] != 0) | (rows[:, n:] != 0)
+    left = occupied.argmax(axis=1) + 1
+    right = n - occupied[:, ::-1].argmax(axis=1)
+    order = sorted(range(m), key=lambda i: (left[i], right[i], rows[i].tolist()))
+    return TofGenerators(
+        p,
+        n,
+        tuple(from_symplectic(rows[i], p) for i in order),
+        tuple(left[order].tolist()),
+        tuple(right[order].tolist()),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +172,6 @@ class StabilizerCode:
     n: int
     k: int
     stabilizers: tuple[PauliString, ...]
-    normalizer_gens: tuple[PauliString, ...]
     logical_gens: tuple[PauliString, ...]
     qudit_order: tuple[int, ...]
     name: str | None = None
@@ -371,7 +309,6 @@ def new_code(
     norm_rows = ffield.kernel(comm, p)
     if norm_rows.shape[0] != n + k:
         raise CodeError("normalizer dimension mismatch")
-    normalizer_gens = [from_symplectic(v, p) for v in norm_rows]
 
     if logicals is None:
         logical_gens = _extract_logicals(norm_rows, p, n, k)
@@ -394,7 +331,6 @@ def new_code(
         n=n,
         k=k,
         stabilizers=tuple(stabilizers),
-        normalizer_gens=tuple(normalizer_gens),
         logical_gens=tuple(logical_gens),
         qudit_order=tuple(range(1, n + 1)),
         name=name,
@@ -416,7 +352,6 @@ def permute(code: StabilizerCode, order: list[int]) -> StabilizerCode:
         n=code.n,
         k=code.k,
         stabilizers=tuple(perm(g) for g in code.stabilizers),
-        normalizer_gens=tuple(perm(g) for g in code.normalizer_gens),
         logical_gens=tuple(perm(g) for g in code.logical_gens),
         qudit_order=tuple(order),
         name=code.name,
@@ -831,18 +766,7 @@ def builtin(name: str, parameter: int | None = None) -> StabilizerCode:
             .joinpath("data", _BUILTIN_FILES[name])
             .read_text()
         )
-        code = parse_code_file(data)
-        return StabilizerCode(
-            p=code.p,
-            n=code.n,
-            k=code.k,
-            stabilizers=code.stabilizers,
-            normalizer_gens=code.normalizer_gens,
-            logical_gens=code.logical_gens,
-            qudit_order=code.qudit_order,
-            name=name,
-            distance=_BUILTIN_DISTANCE[name],
-        )
+        return replace(parse_code_file(data), name=name, distance=_BUILTIN_DISTANCE[name])
     if name == "rotated_surface":
         if parameter is None:
             raise CodeError("rotated_surface requires a distance")

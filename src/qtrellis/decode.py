@@ -275,6 +275,15 @@ def measure_syndromes(
     return S
 
 
+# entries in one (rows, section edges) temporary of the kernel: 128 MB at 8 B
+_EDGE_BUDGET = 2**24
+
+
+def _chunk_rows(widest: int) -> int:
+    """Rows per kernel call over trellises whose widest section has ``widest`` edges."""
+    return max(1, _EDGE_BUDGET // widest)
+
+
 def decode_syndromes(
     code: StabilizerCode,
     trellises: dict[str, Trellis],
@@ -292,10 +301,33 @@ def decode_syndromes(
     ``"block"`` (level-2 Steane on the 7-qubit X-check trellis ``"inner"``).
     ``weights`` holds one WeightTable per key (see :func:`mode_weights`).
     Returns the x and z exponents of the corrections, each (count, n), and
-    their weights.
+    their weights.  Rows are decoded in chunks sized so that no kernel
+    temporary exceeds ``_EDGE_BUDGET`` entries; each row's result does not
+    depend on the chunk it falls in.
     """
-    n = code.n
+    if mode not in _MODE_AXES:
+        raise DecodeError(f"unknown decoder mode {mode!r}")
     S = _syndrome_rows(code, S)
+    widest = max(sec.size for key in _MODE_AXES[mode] for sec in trellises[key].sections)
+    step = _chunk_rows(widest)
+    if S.shape[0] <= step:
+        return _decode_chunk(code, trellises, mode, weights, S)
+    chunks = [
+        _decode_chunk(code, trellises, mode, weights, S[lo : lo + step])
+        for lo in range(0, S.shape[0], step)
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _decode_chunk(
+    code: StabilizerCode,
+    trellises: dict[str, Trellis],
+    mode: str,
+    weights: dict[str, WeightTable],
+    S: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of :func:`decode_syndromes`, with ``S`` already reduced mod p."""
+    n = code.n
     T = code.pure_error_map
     # the map of a CSS code is block-diagonal: each part reads its own
     # syndrome rows and fills one half of the pure error
@@ -307,9 +339,7 @@ def decode_syndromes(
         _, corr_z, wx = _decode_part(code, tx, weights["x"], S[:, x_rows], T[x_rows], slice(n, None))
         corr_x, _, wz = _decode_part(code, tz, weights["z"], S[:, z_rows], T[z_rows], slice(None, n))
         return corr_x, corr_z, wx + wz
-    if mode == "block":
-        return _block_decode(code, trellises["inner"], weights["inner"], S, T)
-    raise DecodeError(f"unknown decoder mode {mode!r}")
+    return _block_decode(code, trellises["inner"], weights["inner"], S, T)
 
 
 def classify_residual(

@@ -109,24 +109,3 @@ def solve(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     for r, c in enumerate(pivots):
         x[c] = red[r, cols]
     return x
-
-
-def row_span(m: np.ndarray, p: int) -> np.ndarray:
-    """Return all ``p**rank`` vectors in the row span of ``m`` over F_p.
-
-    Intended for small spans (group enumeration during trellis builds).
-    """
-    red, pivots, rk = rref(m, p)
-    basis = red[:rk]
-    cols = m.shape[1] if m.ndim == 2 else 0
-    out = np.zeros((1, cols), dtype=np.int64)
-    for row in basis:
-        out = (out[:, None, :] + np.arange(p)[None, :, None] * row[None, None, :]).reshape(-1, cols) % p
-    return out
-
-
-def in_row_span(m: np.ndarray, v: np.ndarray, p: int) -> bool:
-    """Return True iff ``v`` lies in the row span of ``m`` over F_p."""
-    base = rank(m, p)
-    stacked = np.vstack([np.asarray(m, dtype=np.int64), np.asarray(v, dtype=np.int64)])
-    return rank(stacked, p) == base

@@ -6,7 +6,7 @@ dropped throughout.  Qudit positions are 1-based in all public interfaces.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,14 +90,6 @@ def mul(P: PauliString, Q: PauliString) -> PauliString:
     return PauliString(P.p, P.x + Q.x, P.z + Q.z)
 
 
-def power(P: PauliString, e: int) -> PauliString:
-    return PauliString(P.p, P.x * e, P.z * e)
-
-
-def inverse(P: PauliString) -> PauliString:
-    return PauliString(P.p, -P.x, -P.z)
-
-
 def sym_inner(P: PauliString, Q: PauliString) -> int:
     """Symplectic inner product ``sum_i (a_i b'_i - b_i a'_i) mod p``.
 
@@ -105,16 +97,6 @@ def sym_inner(P: PauliString, Q: PauliString) -> int:
     """
     _check_compatible(P, Q)
     return int((P.x @ Q.z - P.z @ Q.x) % P.p)
-
-
-def project(P: PauliString, J) -> PauliString:
-    """Replace components outside the 1-based index set ``J`` by the identity."""
-    keep = np.zeros(P.n, dtype=bool)
-    for i in J:
-        if not 1 <= i <= P.n:
-            raise IndexError(f"position {i} out of range 1..{P.n}")
-        keep[i - 1] = True
-    return PauliString(P.p, np.where(keep, P.x, 0), np.where(keep, P.z, 0))
 
 
 def prefix(P: PauliString, i: int) -> PauliString:

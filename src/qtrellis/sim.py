@@ -165,11 +165,8 @@ def exact_rate(
     s_digits = (unique[:, None] // radix) % p
     # decode every distinct syndrome once
     weights = mode_weights(code, decoder, channel)
-    corr_flags = np.zeros((unique.size, L.shape[0]), dtype=np.int64)
-    for lo in range(0, unique.size, 4096):
-        hi = min(lo + 4096, unique.size)
-        corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, s_digits[lo:hi])
-        corr_flags[lo:hi] = (corr_x @ L[:, :n].T + corr_z @ L[:, n:].T) % p
+    corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, s_digits)
+    corr_flags = (corr_x @ L[:, :n].T + corr_z @ L[:, n:].T) % p
     # pass 2: accumulate exact probabilities of the failing patterns
     rate = 0.0
     site = r / (p - 1) if channel.single_axis else r / (p * p - 1)

@@ -22,6 +22,12 @@ def group_elements(gens: list[PauliString]) -> set[PauliString]:
     return out
 
 
+def in_row_span(m: np.ndarray, v: np.ndarray, p: int) -> bool:
+    """True iff ``v`` lies in the row span of ``m`` over F_p."""
+    stacked = np.vstack([np.asarray(m, dtype=np.int64), np.asarray(v, dtype=np.int64)])
+    return ffield.rank(stacked, p) == ffield.rank(m, p)
+
+
 def coset_min_weight(
     elements: set[PauliString], T: PauliString, table: np.ndarray
 ) -> float:

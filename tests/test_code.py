@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qtrellis import code as code_mod
+from qtrellis import ffield
 from qtrellis.code import (
     CodeError,
     css_split,
@@ -35,46 +36,34 @@ def span_length(P: PauliString) -> int:
 
 
 def test_tof_left_right_property(rng):
-    for _ in range(30):
+    for p in [2] * 30 + [3] * 30:
         n = int(rng.integers(3, 7))
         m = int(rng.integers(1, min(n, 4) + 1))
-        gens = random_commuting_gens(rng, n, m)
+        gens = random_commuting_gens(rng, n, m, p)
         tof = to_tof(gens)
         assert group_elements(list(tof.gens)) == group_elements(gens)
-        # left-right property: all left indices distinct, all right distinct
-        # up to proportional end sites; for p = 2 that means plain distinct
-        # unless the end sites differ as group elements
-        for (i, gi), (j, gj) in itertools.combinations(enumerate(tof.gens), 2):
-            if tof.left[i] == tof.left[j]:
-                si = gi.site(tof.left[i])
-                sj = gj.site(tof.left[j])
-                assert not _proportional(si, sj, tof.p)
-            if tof.right[i] == tof.right[j]:
-                si = gi.site(tof.right[i])
-                sj = gj.site(tof.right[j])
-                assert not _proportional(si, sj, tof.p)
-
-
-def _proportional(s1, s2, p):
-    for c in range(1, p):
-        if ((s1[0] - c * s2[0]) % p, (s1[1] - c * s2[1]) % p) == (0, 0):
-            return True
-    return False
+        # left-right property: the end sites of the members sharing a left
+        # (or a right) index are linearly independent over F_p
+        for ends in (tof.left, tof.right):
+            for j in set(ends):
+                sites = [g.site(j) for g, e in zip(tof.gens, ends) if e == j]
+                assert ffield.rank(np.array(sites, dtype=np.int64), p) == len(sites)
+        for g, l in zip(tof.gens, tof.left):
+            assert next(e for e in g.site(l) if e) == 1
 
 
 def test_tof_minimality_exhaustive_oracle(rng):
     """Total span of the TOF equals the brute-force minimum over all bases."""
-    for _ in range(12):
-        n = int(rng.integers(3, 6))
-        m = int(rng.integers(2, 4))
-        gens = random_commuting_gens(rng, n, m)
+    # n * m <= 12 at p = 3 keeps the enumeration to seconds
+    cases = [(2, int(rng.integers(3, 6)), int(rng.integers(2, 4))) for _ in range(12)]
+    cases += [(3, int(rng.integers(3, 5)), int(rng.integers(2, 4))) for _ in range(6)]
+    for p, n, m in cases:
+        gens = random_commuting_gens(rng, n, m, p)
         elements = [g for g in group_elements(gens) if not g.is_identity()]
         best = None
         for combo in itertools.combinations(elements, m):
             rows = np.array([np.concatenate([g.x, g.z]) for g in combo], dtype=np.int64)
-            from qtrellis import ffield
-
-            if ffield.rank(rows, 2) < m:
+            if ffield.rank(rows, p) < m:
                 continue
             total = sum(span_length(g) for g in combo)
             best = total if best is None else min(best, total)
@@ -87,8 +76,6 @@ def test_tof_profile_invariance(rng):
     base = profile(code.normalizer_tof())
     gens = list(code.stabilizers) + list(code.logical_gens)
     rows = np.array([np.concatenate([g.x, g.z]) for g in gens], dtype=np.int64)
-    from qtrellis import ffield
-
     m = len(gens)
     for _ in range(10):
         while True:
@@ -214,9 +201,8 @@ def test_new_code_validation():
 def test_normalizer_and_logicals():
     for name in ("five_one_three", "steane"):
         code = code_mod.builtin(name)
-        assert len(code.normalizer_gens) == code.n + code.k
         assert len(code.logical_gens) == 2 * code.k
-        for g in code.normalizer_gens:
+        for g in code.logical_gens:
             for s in code.stabilizers:
                 assert sym_inner(s, g) == 0
         # logicals pair into (X, Z) partners with unit symplectic product

@@ -11,13 +11,10 @@ from qtrellis.pauli import (
     format_pauli,
     from_symplectic,
     identity,
-    inverse,
     mul,
     parse_pauli,
     partial_syndrome,
-    power,
     prefix,
-    project,
     sym_inner,
     syndrome,
 )
@@ -40,10 +37,8 @@ def test_group_laws(args, seed2, seed3):
     R = random_pauli(p, n, seed3)
     e = identity(n, p)
     assert mul(P, e) == P
-    assert mul(P, inverse(P)) == e
     assert mul(mul(P, Q), R) == mul(P, mul(Q, R))
     assert mul(P, Q) == mul(Q, P)
-    assert power(P, p) == e
 
 
 @settings(max_examples=200, deadline=None)
@@ -93,7 +88,7 @@ def test_parse_errors():
         parse_pauli("XX", 2, n=3)
 
 
-def test_prefix_project_and_partial_syndrome():
+def test_prefix_and_partial_syndrome():
     gens = [parse_pauli(s) for s in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")]
     P = parse_pauli("YIZXI")
     full = syndrome(gens, P)
@@ -101,9 +96,6 @@ def test_prefix_project_and_partial_syndrome():
     assert np.array_equal(partial_syndrome(gens, P, 0), np.zeros(4, dtype=full.dtype))
     for i in range(P.n + 1):
         assert np.array_equal(partial_syndrome(gens, P, i), syndrome(gens, prefix(P, i)))
-    sub = project(P, [1, 3])
-    assert tuple(sub.x) == (P.x[0], 0, P.x[2], 0, 0)
-    assert tuple(sub.z) == (P.z[0], 0, P.z[2], 0, 0)
 
 
 def test_weight_and_site():

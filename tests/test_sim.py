@@ -1,10 +1,13 @@
 """Simulation harness: sampling, exact enumeration, Monte Carlo, threshold fits."""
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
 from qtrellis import code as code_mod
+from qtrellis.code import profile
 from qtrellis.decode import decode_syndromes, measure_syndromes, mode_weights
 from qtrellis.sim import (
     ChannelSpec,
@@ -17,6 +20,9 @@ from qtrellis.sim import (
     run_montecarlo,
     sample_error,
 )
+
+# the package exports the function ``decode``, which shadows the module
+decode_mod = importlib.import_module("qtrellis.decode")
 
 
 def test_channel_spec_validation():
@@ -120,6 +126,39 @@ def test_decoding_sees_the_syndrome_only():
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
         assert np.array_equal(measure_syndromes(code, mode, a[0], a[1]), S)
+
+
+def test_decode_chunks_are_bit_identical(monkeypatch):
+    """Decoding in many small chunks gives the corrections and weights of one call."""
+    rng = np.random.default_rng(37)
+    cases = [
+        ("steane", None, "full", "depolarizing"),
+        ("rotated_surface", 3, "css", "depolarizing"),
+        ("rotated_surface", 3, "css", "dephasing_z"),
+    ]
+    for name, param, mode, kind in cases:
+        code = code_mod.builtin(name, param)
+        trellises = build_trellises(code, mode)
+        channel = ChannelSpec(kind, 0.1)
+        weights = mode_weights(code, mode, channel)
+        S = measure_syndromes(code, mode, *_sample_batch(channel, code.n, rng, 500))
+        whole = decode_syndromes(code, trellises, mode, weights, S)
+        widest = max(sec.size for t in trellises.values() for sec in t.sections)
+        with monkeypatch.context() as patch:
+            patch.setattr(decode_mod, "_EDGE_BUDGET", 7 * widest)
+            chunked = decode_syndromes(code, trellises, mode, weights, S)
+        for u, v in zip(whole, chunked):
+            assert np.array_equal(u, v)
+
+
+def test_decode_chunk_fits_the_budget():
+    """The widest code's chunk stays within the budget; the profile alone tells."""
+    widest = max(profile(code_mod.builtin("codetable_20_3_6").normalizer_tof()).e_count)
+    rows = decode_mod._chunk_rows(widest)
+    assert rows == 32 and rows * widest <= decode_mod._EDGE_BUDGET
+    # the widest code the benchmark simulates keeps whole 4,096-row batches
+    widest = max(profile(code_mod.builtin("codetable_20_10_4").normalizer_tof()).e_count)
+    assert decode_mod._chunk_rows(widest) == 4096
 
 
 def test_montecarlo_reproducible_and_batch_invariant():

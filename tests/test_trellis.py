@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtrellis import code as code_mod
+from qtrellis import ffield
 from qtrellis.code import TrellisProfile, css_split, profile
 from qtrellis.decode import DecodeError, decode, pure_error, weights_from_channel
-from qtrellis.pauli import PauliString, identity, mul, parse_pauli, syndrome
+from qtrellis.pauli import PauliString, from_symplectic, identity, mul, parse_pauli, syndrome
 from qtrellis.trellis import (
     CapacityError,
     Trellis,
@@ -28,7 +29,7 @@ from qtrellis.trellis import (
     validate,
 )
 
-from conftest import group_elements
+from conftest import group_elements, random_commuting_gens
 
 
 def trivial_trellis(p: int, n: int) -> Trellis:
@@ -84,6 +85,29 @@ def test_build_matches_profile_for_builtins():
         assert tuple(layer.size for layer in t.layers) == prof.v_count
         assert tuple(sec.size for sec in t.sections) == prof.e_count
         assert validate(t) == []
+
+
+def test_build_depends_only_on_the_group(rng):
+    """Any generating set of one group builds the same trellis, byte for byte."""
+
+    def resample(gens, p):
+        m = len(gens)
+        while True:
+            A = rng.integers(0, p, size=(m, m))
+            if ffield.rank(A, p) == m:
+                break
+        rows = np.array([g.symplectic() for g in gens])
+        return [from_symplectic(v, p) for v in A @ rows % p]
+
+    for p, n, m in [(2, 6, 4), (2, 7, 5), (3, 5, 3), (3, 6, 4)]:
+        gens = random_commuting_gens(rng, n, m, p)
+        base = serialize(build(gens))
+        for _ in range(3):
+            assert serialize(build(resample(gens, p))) == base
+    for part in css_split(code_mod.builtin("rotated_surface", 3)):
+        base = serialize(build(part))
+        for _ in range(3):
+            assert serialize(build(replace(part, gens=tuple(resample(part.gens, 2))))) == base
 
 
 def test_path_bijection(t513, five_one_three):
