@@ -149,23 +149,30 @@ def _viterbi_arrays(
     (samples, n); the trellis itself stays at the zero syndrome and the
     shift is applied on the fly to each edge label.  Returns the x and z
     exponent arrays of the minimum-weight corrections and their weights.
-    Ties resolve to the smallest (source, label) pair by construction of
-    the edge ordering.
+    Each edge's weight is read through the section's shift-symbol label
+    table, and each target keeps the first of its in-edges that reaches
+    the minimum, so ties resolve to the smallest (source, label) pair by
+    construction of the edge ordering.
     """
     p, n = t.p, t.n
     count = shift_x.shape[0]
+    sym = shift_x * p + shift_z
+    flat = wtab.reshape(n, p * p)
     dist = np.zeros((count, 1))
     back: list[np.ndarray] = []
     for i, sec in enumerate(t.sections):
         v_next = t.layers[i + 1].size
         deg = sec.size // v_next
-        a = (sec.label[:, 0][None, :] + shift_x[:, i : i + 1]) % p
-        b = (sec.label[:, 1][None, :] + shift_z[:, i : i + 1]) % p
-        cost = dist[:, sec.source] + wtab[i, a, b]
+        cost = flat[i][sec.shifted_labels[sym[:, i]]]
+        cost += dist[:, sec.source]
         cost = cost.reshape(count, v_next, deg)
-        arg = np.argmin(cost, axis=2)
-        dist = np.take_along_axis(cost, arg[:, :, None], axis=2)[:, :, 0]
-        back.append(arg.astype(np.int32))
+        dist = cost[:, :, 0].copy()
+        arg = np.zeros((count, v_next), dtype=np.min_scalar_type(deg - 1))
+        for j in range(1, deg):
+            better = cost[:, :, j] < dist
+            np.copyto(dist, cost[:, :, j], where=better)
+            np.copyto(arg, j, where=better)
+        back.append(arg)
     total = dist[:, 0].copy()
     xs = np.zeros((count, n), dtype=np.int64)
     zs = np.zeros((count, n), dtype=np.int64)
@@ -275,8 +282,9 @@ def measure_syndromes(
     return S
 
 
-# entries in one (rows, section edges) temporary of the kernel: 128 MB at 8 B
-_EDGE_BUDGET = 2**24
+# entries in one (rows, section edges) temporary of the kernel: 512 KB at
+# 8 B, so a section's few live temporaries stay inside a 2 MB L2 cache
+_EDGE_BUDGET = 2**16
 
 
 def _chunk_rows(widest: int) -> int:
@@ -302,8 +310,8 @@ def decode_syndromes(
     ``weights`` holds one WeightTable per key (see :func:`mode_weights`).
     Returns the x and z exponents of the corrections, each (count, n), and
     their weights.  Rows are decoded in chunks sized so that no kernel
-    temporary exceeds ``_EDGE_BUDGET`` entries; each row's result does not
-    depend on the chunk it falls in.
+    temporary exceeds ``_EDGE_BUDGET`` entries, unless one row alone does;
+    each row's result does not depend on the chunk it falls in.
     """
     if mode not in _MODE_AXES:
         raise DecodeError(f"unknown decoder mode {mode!r}")

@@ -125,7 +125,10 @@ def exact_rate(
     Single-axis channels enumerate p^n patterns (cap n such that
     p^n <= 2^26); general channels enumerate p^(2n) (cap 2^20 patterns).
     Every distinct syndrome is decoded once; the channel probabilities of
-    the failing patterns are summed exactly.
+    the failing patterns are summed exactly.  ``"block"`` always exceeds
+    the cap, since it decodes level-2 Steane (2^49 single-axis patterns),
+    and raises CapacityError; the exhaustive check of its radius is
+    ``test_block_decode_low_weight_z_errors``.
     """
     n, p = code.n, code.p
     if channel.single_axis:

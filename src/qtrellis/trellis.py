@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,20 @@ class TrellisSection:
     @property
     def size(self) -> int:
         return self.source.size
+
+    @cached_property
+    def shifted_labels(self) -> np.ndarray:
+        """Flat edge labels ``a*p + b`` under every shift symbol, shape (p*p, size).
+
+        Row ``sx*p + sz`` holds the labels after adding (sx, sz) to each
+        edge.  The table depends on the structure only, so the decoder
+        builds it once per section; it is never serialized.
+        """
+        p = self.p
+        sym = np.arange(p * p)[:, None]
+        a = (self.label[:, 0] + sym // p) % p
+        b = (self.label[:, 1] + sym % p) % p
+        return (a * p + b).astype(np.min_scalar_type(p * p - 1))
 
 
 @dataclass(frozen=True)

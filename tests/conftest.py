@@ -70,6 +70,41 @@ def random_commuting_gens(
     return gens
 
 
+def reference_viterbi(t, wtab, shift_x, shift_z):
+    """The argmin Viterbi kernel that the shift-symbol kernel replaced.
+
+    A test oracle only: decoding must stay bit-identical to it, ties
+    included, in corrections and in weights.
+    """
+    p, n = t.p, t.n
+    count = shift_x.shape[0]
+    dist = np.zeros((count, 1))
+    back: list[np.ndarray] = []
+    for i, sec in enumerate(t.sections):
+        v_next = t.layers[i + 1].size
+        deg = sec.size // v_next
+        a = (sec.label[:, 0][None, :] + shift_x[:, i : i + 1]) % p
+        b = (sec.label[:, 1][None, :] + shift_z[:, i : i + 1]) % p
+        cost = dist[:, sec.source] + wtab[i, a, b]
+        cost = cost.reshape(count, v_next, deg)
+        arg = np.argmin(cost, axis=2)
+        dist = np.take_along_axis(cost, arg[:, :, None], axis=2)[:, :, 0]
+        back.append(arg.astype(np.int32))
+    total = dist[:, 0].copy()
+    xs = np.zeros((count, n), dtype=np.int64)
+    zs = np.zeros((count, n), dtype=np.int64)
+    cur = np.zeros(count, dtype=np.int64)
+    rows = np.arange(count)
+    for i in range(n - 1, -1, -1):
+        sec = t.sections[i]
+        deg = sec.size // t.layers[i + 1].size
+        eidx = cur * deg + back[i][rows, cur]
+        xs[:, i] = (sec.label[eidx, 0] + shift_x[:, i]) % p
+        zs[:, i] = (sec.label[eidx, 1] + shift_z[:, i]) % p
+        cur = sec.source[eidx]
+    return xs, zs, total
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260824)

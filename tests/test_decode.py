@@ -16,13 +16,17 @@ from qtrellis.decode import (
     classify_residual,
     css_decode,
     decode,
+    decode_syndromes,
+    measure_syndromes,
     pure_error,
     viterbi,
     weights_from_channel,
+    _viterbi_arrays,
 )
 from qtrellis.pauli import (
     PauliString,
     format_pauli,
+    from_symplectic,
     identity,
     mul,
     parse_pauli,
@@ -31,7 +35,7 @@ from qtrellis.pauli import (
 from qtrellis.sim import ChannelSpec, build_trellises
 from qtrellis.trellis import TrellisError, build, shift
 
-from conftest import coset_min_weight, group_elements
+from conftest import coset_min_weight, group_elements, random_commuting_gens, reference_viterbi
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +186,49 @@ def test_oracle_random_weight_tables(five_one_three, steane, rng):
             _oracle_check(code, table, elements)
 
 
+def _kernel_cases(rng):
+    """Trellises of every shape the kernel meets, by name."""
+    steane = code_mod.builtin("steane")
+    cases = {
+        "steane": build(steane),
+        "five_one_three": build(code_mod.builtin("five_one_three")),
+        "steane_inner": build(css_split(steane)[0]),
+        "codetable_20_10_4": build(code_mod.builtin("codetable_20_10_4")),
+    }
+    for d in (3, 5):
+        surface = code_mod.builtin("rotated_surface", d)
+        x_part, z_part = css_split(surface)
+        cases[f"surface{d}"] = build(surface)
+        cases[f"surface{d}_x"] = build(x_part)
+        cases[f"surface{d}_z"] = build(z_part)
+    for p in (3, 5):
+        for k in range(3):
+            cases[f"random_p{p}_{k}"] = build(random_commuting_gens(rng, 4, 2 + k % 2, p))
+    # the full two-qudit group {X1, X2, Z1, Z2} at p = 17: in-degree 17**2 = 289
+    cases["two_qudits_p17"] = build([from_symplectic(row, 17) for row in np.eye(4, dtype=np.int64)])
+    return cases
+
+
+def test_kernel_bit_identical_to_argmin_reference():
+    """Corrections and weights equal the argmin kernel's, ties and +inf included."""
+    rng = np.random.default_rng(2026)
+    cases = _kernel_cases(rng)
+    assert max(cases["two_qudits_p17"].profile.deg_in) == 289
+    rows = 40
+    for name, t in cases.items():
+        p, n = t.p, t.n
+        for _ in range(3):
+            # half-integer weights make exact ties common
+            wtab = np.round(rng.uniform(0.0, 3.0, size=(n, p, p)) * 2) / 2
+            wtab[rng.random((n, p, p)) < 0.1] = np.inf
+            shift_x = rng.integers(0, p, size=(rows, n))
+            shift_z = rng.integers(0, p, size=(rows, n))
+            got = _viterbi_arrays(t, wtab, shift_x, shift_z)
+            want = reference_viterbi(t, wtab, shift_x, shift_z)
+            for u, v in zip(got, want):
+                assert u.dtype == v.dtype and np.array_equal(u, v), name
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -279,30 +326,31 @@ def test_block_decode_single_z_errors(level2, inner_trellis):
         assert out.classification == "success"
 
 
-def test_block_decode_low_weight_z_errors(level2, inner_trellis, rng):
-    """Errors the two-stage decoder is guaranteed to correct must correct.
+def test_block_decode_low_weight_z_errors(level2, inner_trellis):
+    """The two-stage decoder corrects every Z error of weight at most 3.
 
-    The hierarchical decoder is suboptimal: two inner blocks with two
-    errors each can both be miscorrected to block logicals and defeat the
-    distance-3 outer stage.  The guaranteed set is errors where at most
-    one block holds more than one error (the inner stage fixes every
-    single-error block exactly, and the outer stage fixes at most one
-    block logical), so errors are drawn from that set.
+    All 19,650 such errors are decoded in one batch.  The radius is exactly
+    3: two inner blocks with two errors each are both miscorrected to block
+    logicals, and two block flips defeat the distance-3 outer stage.
     """
-    weights = weights_from_channel(ChannelSpec("dephasing_z", 0.05), 49, css_axis="X")
-    gens = list(level2.stabilizers)
-    for _ in range(30):
-        blocks = rng.choice(7, size=3, replace=False)
-        z = np.zeros(49, dtype=np.int64)
-        # one block with a pair of errors, up to two more with one each
-        pair = rng.choice(7, size=2, replace=False)
-        z[7 * blocks[0] + pair] = 1
-        for b in blocks[1 : 1 + rng.integers(0, 3)]:
-            z[7 * b + rng.integers(0, 7)] = 1
-        err = PauliString(2, np.zeros(49, dtype=np.int64), z)
-        s = syndrome(gens, err) % 2
-        out = block_decode(level2, inner_trellis, s, weights, true_error=err)
-        assert out.classification == "success"
+    n = level2.n
+    weights = {"inner": weights_from_channel(ChannelSpec("dephasing_z", 0.05), n, css_axis="X")}
+    trellises = {"inner": inner_trellis}
+    supports = [s for w in range(4) for s in itertools.combinations(range(n), w)]
+    supports.append((0, 1, 7, 8))
+    err_z = np.zeros((len(supports), n), dtype=np.int64)
+    for row, support in enumerate(supports):
+        err_z[row, list(support)] = 1
+    err_x = np.zeros_like(err_z)
+    S = measure_syndromes(level2, "block", err_x, err_z)
+    corr_x, corr_z, _ = decode_syndromes(level2, trellises, "block", weights, S)
+    res = np.hstack([err_x + corr_x, err_z + corr_z]) % 2
+    x_rows = level2.css_rows[0]
+    assert not (res @ level2.check_matrix[x_rows].T % 2).any()
+    failed = (res @ level2.logical_matrix.T % 2).any(axis=1)
+    assert len(supports) == 19_650 + 1
+    assert not failed[:-1].any()
+    assert failed[-1]
 
 
 def test_block_decode_sequential_cost(inner_trellis):
