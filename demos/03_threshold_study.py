@@ -6,7 +6,8 @@ This script runs split (Z-only) decoding at d = 3 and 5 over a grid of
 physical error rates, locates the crossing of the two failure curves,
 and cross-checks the d = 3 Monte Carlo against exact enumeration.
 
-Runtime is about a minute; raise ``SAMPLES`` for tighter error bars.
+Runtime is a few seconds on a 2-core machine; raise ``SAMPLES`` for tighter
+error bars.
 """
 from __future__ import annotations
 

@@ -142,22 +142,27 @@ class TrellisProfile:
     def total_edges(self) -> int:
         return sum(self.e_count)
 
+    @classmethod
+    def from_dims(
+        cls, p: int, n: int, dim: int, past: tuple[int, ...], future: tuple[int, ...]
+    ) -> TrellisProfile:
+        """Every count from the past/future dimensions at each depth."""
+        v_count = tuple(p ** (dim - past[i] - future[i]) for i in range(n + 1))
+        e_count = tuple(p ** (dim - past[i - 1] - future[i]) for i in range(1, n + 1))
+        deg_in = tuple(e_count[i - 1] // v_count[i] for i in range(1, n + 1))
+        deg_out = tuple(e_count[i - 1] // v_count[i - 1] for i in range(1, n + 1))
+        sections = tuple(
+            (past[i] - past[i - 1], future[i - 1] - future[i]) for i in range(1, n + 1)
+        )
+        return cls(p, n, dim, past, future, v_count, e_count, deg_in, deg_out, sections)
+
 
 def profile(tof: TofGenerators) -> TrellisProfile:
     """Predict all trellis layer/section sizes from TOF spans."""
-    p, n, dim = tof.p, tof.n, tof.dim
+    n = tof.n
     past = tuple(sum(1 for r in tof.right if r <= i) for i in range(n + 1))
     future = tuple(sum(1 for l in tof.left if l >= i + 1) for i in range(n + 1))
-    v_count = tuple(p ** (dim - past[i] - future[i]) for i in range(n + 1))
-    e_count = tuple(p ** (dim - past[i - 1] - future[i]) for i in range(1, n + 1))
-    deg_in = tuple(e_count[i - 1] // v_count[i] for i in range(1, n + 1))
-    deg_out = tuple(e_count[i - 1] // v_count[i - 1] for i in range(1, n + 1))
-    sections = tuple(
-        (past[i] - past[i - 1], future[i - 1] - future[i]) for i in range(1, n + 1)
-    )
-    return TrellisProfile(
-        p, n, dim, past, future, v_count, e_count, deg_in, deg_out, sections
-    )
+    return TrellisProfile.from_dims(tof.p, n, tof.dim, past, future)
 
 
 # ---------------------------------------------------------------------------
@@ -425,40 +430,29 @@ def greedy_numbering(code: StabilizerCode) -> list[int]:
     """Search for a qudit order that shrinks the trellis.
 
     From every seed qudit, repeatedly append the qudit minimizing the change
-    in the number of active generators (newly activated minus newly
-    deactivated), breaking ties by the smaller resulting active count and
-    then by index.  The seed whose final order yields the smallest total
-    edge count wins; the identity order is kept if nothing beats it.
+    in the number of active generators (some but not all of the support
+    placed), breaking ties by index.  All seeds grow at once: ``cnt[s, g]``
+    counts the placed qudits of generator g in seed s's order, and placing
+    q changes the active count by ``gain[s] @ inc[:, q]``.  The seed whose
+    final order yields the smallest total edge count wins; the identity
+    order is kept if nothing beats it.
     """
     n = code.n
     gens = list(code.stabilizers) + list(code.logical_gens)
-    supports = [set(np.nonzero((g.x != 0) | (g.z != 0))[0] + 1) for g in gens]
-
-    def build_order(seed: int) -> list[int]:
-        placed: set[int] = set()
-        order: list[int] = []
-        current = seed
-        while True:
-            placed.add(current)
-            order.append(current)
-            if len(order) == n:
-                return order
-            best = None
-            for q in range(1, n + 1):
-                if q in placed:
-                    continue
-                trial = placed | {q}
-                activated = deactivated = active = 0
-                for s in supports:
-                    was_active = bool(s & placed) and not s <= placed
-                    now_active = bool(s & trial) and not s <= trial
-                    active += now_active
-                    activated += now_active and not was_active
-                    deactivated += was_active and not now_active
-                key = (activated - deactivated, active, q)
-                if best is None or key < best[0]:
-                    best = (key, q)
-            current = best[1]
+    inc = np.array([(g.x != 0) | (g.z != 0) for g in gens], dtype=np.int64)
+    size = inc.sum(axis=1)
+    seeds = np.arange(n)
+    orders = [seeds]
+    placed = np.eye(n, dtype=bool)
+    cnt = inc.T.copy()
+    for _ in range(1, n):
+        gain = ((cnt == 0) & (size > 1)).astype(np.int64) - ((cnt == size - 1) & (cnt > 0))
+        delta = gain @ inc
+        delta[placed] = np.iinfo(np.int64).max
+        q = delta.argmin(axis=1)
+        orders.append(q)
+        placed[seeds, q] = True
+        cnt += inc[:, q].T
 
     def total_edges(order: list[int]) -> int:
         permuted = permute(code, order)
@@ -466,8 +460,7 @@ def greedy_numbering(code: StabilizerCode) -> list[int]:
 
     best_order = list(range(1, n + 1))
     best_e = total_edges(best_order)
-    for seed in range(1, n + 1):
-        order = build_order(seed)
+    for order in (np.stack(orders, axis=1) + 1).tolist():
         e = total_edges(order)
         if e < best_e:
             best_e, best_order = e, order

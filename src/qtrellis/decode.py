@@ -152,7 +152,11 @@ def _viterbi_arrays(
     Each edge's weight is read through the section's shift-symbol label
     table, and each target keeps the first of its in-edges that reaches
     the minimum, so ties resolve to the smallest (source, label) pair by
-    construction of the edge ordering.
+    construction of the edge ordering.  That holds only for float64-equal
+    path sums: corrections of equal Hamming weight usually sum their -log
+    weights in different orders, so rounding picks the winner (on surface
+    d = 5 ``full`` at depolarizing p = 0.1, exact Hamming-unit weights moved
+    failures from 4,876 to 5,088 of 65,536 errors).
     """
     p, n = t.p, t.n
     count = shift_x.shape[0]

@@ -16,6 +16,9 @@ from .trellis import Trellis, CapacityError, build
 from .decode import decode_syndromes, measure_syndromes, mode_weights, _site_probs
 
 _WILSON_Z = 1.959963984540054  # 95%
+# error patterns enumerated at once by exact_rate: a (chunk, 2n) int64
+# digit temporary is 21 MB at n = 20
+_PATTERN_CHUNK = 1 << 16
 
 
 class SimError(RuntimeError):
@@ -124,8 +127,10 @@ def exact_rate(
 
     Single-axis channels enumerate p^n patterns (cap n such that
     p^n <= 2^26); general channels enumerate p^(2n) (cap 2^20 patterns).
-    Every distinct syndrome is decoded once; the channel probabilities of
-    the failing patterns are summed exactly.  ``"block"`` always exceeds
+    Every distinct syndrome is decoded once.  The failing patterns are
+    counted exactly per Hamming weight w, and the rate is
+    ``sum_w count[w] * (1 - r)**(n - w) * site**w``, so it does not depend
+    on how the patterns are chunked.  ``"block"`` always exceeds
     the cap, since it decodes level-2 Steane (2^49 single-axis patterns),
     and raises CapacityError; the exhaustive check of its radius is
     ``test_block_decode_low_weight_z_errors``.
@@ -143,16 +148,15 @@ def exact_rate(
         trellises = build_trellises(code, decoder, max_edges=max_edges)
     r = channel.p_phys
     total = p**bits
-    chunk = 1 << 18
     powers = p ** np.arange(bits, dtype=np.int64)
     m = len(code.stabilizers)
     L = code.logical_matrix
     radix = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
     def patterns():
-        for lo in range(0, total, chunk):
-            idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-            pat = (idx[:, None] // powers) % p
+        for lo in range(0, total, _PATTERN_CHUNK):
+            idx = np.arange(lo, min(lo + _PATTERN_CHUNK, total), dtype=np.int64)
+            pat = ((idx[:, None] // powers) % p).astype(np.min_scalar_type(p - 1))
             if channel.kind == "dephasing_z":
                 yield np.zeros_like(pat), pat
             elif channel.kind == "dephasing_x":
@@ -170,17 +174,16 @@ def exact_rate(
     weights = mode_weights(code, decoder, channel)
     corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, s_digits)
     corr_flags = (corr_x @ L[:, :n].T + corr_z @ L[:, n:].T) % p
-    # pass 2: accumulate exact probabilities of the failing patterns
-    rate = 0.0
-    site = r / (p - 1) if channel.single_axis else r / (p * p - 1)
+    # pass 2: count the failing patterns of each Hamming weight exactly
+    fails = np.zeros(n + 1, dtype=np.int64)
     for err_x, err_z in patterns():
         rows = np.searchsorted(unique, measure_syndromes(code, decoder, err_x, err_z) @ radix)
         err_flags = (err_x @ L[:, :n].T + err_z @ L[:, n:].T) % p
         fail = ((err_flags + corr_flags[rows]) % p).any(axis=1)
         weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
-        probs = (1.0 - r) ** (n - weight) * site**weight
-        rate += float(probs[fail].sum())
-    return rate
+        fails += np.bincount(weight[fail], minlength=n + 1)
+    site = r / (p - 1) if channel.single_axis else r / (p * p - 1)
+    return sum(int(c) * (1.0 - r) ** (n - w) * site**w for w, c in enumerate(fails))
 
 
 def build_trellises(
@@ -232,8 +235,8 @@ def run_montecarlo(
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pt_index,)))
         # draw all conditioned samples first, in fixed-size chunks, so the
         # random stream never depends on batching
-        err_x = np.empty((samples, n), dtype=np.int64)
-        err_z = np.empty((samples, n), dtype=np.int64)
+        err_x = np.empty((samples, n), dtype=np.min_scalar_type(p - 1))
+        err_z = np.empty_like(err_x)
         collected = 0
         while collected < samples:
             cx, cz = _sample_batch(channel, n, rng, 8192, p)

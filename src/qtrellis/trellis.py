@@ -304,16 +304,7 @@ def shift(t: Trellis, pure_error: PauliString) -> Trellis:
 def _product_profile(p1: TrellisProfile, p2: TrellisProfile) -> TrellisProfile:
     past = tuple(a + b for a, b in zip(p1.dim_past, p2.dim_past))
     future = tuple(a + b for a, b in zip(p1.dim_future, p2.dim_future))
-    v = tuple(a * b for a, b in zip(p1.v_count, p2.v_count))
-    e = tuple(a * b for a, b in zip(p1.e_count, p2.e_count))
-    din = tuple(a * b for a, b in zip(p1.deg_in, p2.deg_in))
-    dout = tuple(a * b for a, b in zip(p1.deg_out, p2.deg_out))
-    secs = tuple(
-        (a[0] + b[0], a[1] + b[1]) for a, b in zip(p1.sections, p2.sections)
-    )
-    return TrellisProfile(
-        p1.p, p1.n, p1.dim + p2.dim, past, future, v, e, din, dout, secs
-    )
+    return TrellisProfile.from_dims(p1.p, p1.n, p1.dim + p2.dim, past, future)
 
 
 def product(t1: Trellis, t2: Trellis) -> Trellis:
@@ -547,9 +538,20 @@ def deserialize(data: bytes) -> Trellis:
         raise TrellisError(f"unsupported trellis format version {version}")
     past = r.unpack(f"<{n + 1}I")
     future = r.unpack(f"<{n + 1}I")
+    if past[0] != 0 or past[-1] != dim or any(a > b for a, b in zip(past, past[1:])):
+        raise TrellisError("dim_past must run nondecreasing from 0 to dim")
+    if future[0] != dim or future[-1] != 0 or any(a < b for a, b in zip(future, future[1:])):
+        raise TrellisError("dim_future must run nonincreasing from dim to 0")
+
+    def check_size(what: str, size: int, e: int) -> None:
+        # compare exponents first, so an absurd e never forms p**e
+        if e < 0 or e > size.bit_length() or p**e != size:
+            raise TrellisError(f"{what}: {size} does not match the profile's {p}**{e}")
+
     layers = []
-    for _ in range(n + 1):
+    for i in range(n + 1):
         size, rk = r.unpack("<QI")
+        check_size(f"layer {i}", size, dim - past[i] - future[i])
         if rk == 0xFFFFFFFF:
             layers.append(TrellisLayer(p, size))
         else:
@@ -557,19 +559,19 @@ def deserialize(data: bytes) -> Trellis:
             basis = np.frombuffer(r.take(2 * rk * m), dtype=np.int16).reshape(rk, m).astype(np.int64)
             offset = np.frombuffer(r.take(2 * m), dtype=np.int16).astype(np.int64)
             layers.append(TrellisLayer(p, size, basis, pivots, offset))
-    if layers[0].size != 1 or layers[-1].size != 1 or min(layer.size for layer in layers) < 1:
-        raise TrellisError("terminal layers must hold one vertex and no layer may be empty")
     sections = []
     for i in range(n):
         (count,) = r.unpack("<Q")
+        check_size(f"section {i + 1}", count, dim - past[i] - future[i + 1])
         src = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
         tgt = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
         lab = np.frombuffer(r.take(4 * count), dtype=np.int16).reshape(count, 2).astype(np.int64)
         # the decoder indexes vertices by source and reshapes each section
-        # to (target, in-degree), so both must be exact
+        # to (target, in-degree), so both must be exact; the profile makes
+        # the in-degree p**(past[i + 1] - past[i]), a whole number
         v_prev, v_next = layers[i].size, layers[i + 1].size
         deg = count // v_next
-        if deg < 1 or count != deg * v_next or not np.array_equal(tgt, np.arange(count) // deg):
+        if not np.array_equal(tgt, np.arange(count) // deg):
             raise TrellisError(f"section {i + 1}: targets not sorted with a uniform in-degree")
         if src.min() < 0 or src.max() >= v_prev:
             raise TrellisError(f"section {i + 1}: source index outside its layer")
@@ -582,14 +584,8 @@ def deserialize(data: bytes) -> Trellis:
             np.frombuffer(r.take(2 * 2 * n * m), dtype=np.int16).reshape(2 * n, m).astype(np.int64)
             for _ in range(n + 1)
         )
-    v_count = tuple(layer.size for layer in layers)
-    e_count = tuple(sec.size for sec in sections)
-    deg_in = tuple(e_count[i - 1] // v_count[i] for i in range(1, n + 1))
-    deg_out = tuple(e_count[i - 1] // v_count[i - 1] for i in range(1, n + 1))
-    secs = tuple(
-        (past[i] - past[i - 1], future[i - 1] - future[i]) for i in range(1, n + 1)
-    )
-    prof = TrellisProfile(p, n, dim, past, future, v_count, e_count, deg_in, deg_out, secs)
+    # every size matched its exponent above, so the profile is exact
+    prof = TrellisProfile.from_dims(p, n, dim, past, future)
     return Trellis(p, n, tuple(layers), tuple(sections), prof, maps)
 
 

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qtrellis import code as code_mod
 from qtrellis import ffield
 from qtrellis.pauli import PauliString, from_symplectic, mul
 
@@ -103,6 +104,59 @@ def reference_viterbi(t, wtab, shift_x, shift_z):
         zs[:, i] = (sec.label[eidx, 1] + shift_z[:, i]) % p
         cur = sec.source[eidx]
     return xs, zs, total
+
+
+def reference_greedy_numbering(code) -> list[int]:
+    """The set-based greedy qudit numbering that the count-matrix search replaced.
+
+    A test oracle only.  From every seed it rebuilds the placed set with
+    each candidate and recounts the active generators (some but not all of
+    the support placed) over every support; the key is (activated minus
+    deactivated, active count, index).  Orders are scored, identity first,
+    through ``qtrellis.code.permute`` and ``profile``.
+    """
+    n = code.n
+    gens = list(code.stabilizers) + list(code.logical_gens)
+    supports = [set(np.nonzero((g.x != 0) | (g.z != 0))[0] + 1) for g in gens]
+
+    def build_order(seed: int) -> list[int]:
+        placed: set[int] = set()
+        order: list[int] = []
+        current = seed
+        while True:
+            placed.add(current)
+            order.append(current)
+            if len(order) == n:
+                return order
+            best = None
+            for q in range(1, n + 1):
+                if q in placed:
+                    continue
+                trial = placed | {q}
+                activated = deactivated = active = 0
+                for s in supports:
+                    was_active = bool(s & placed) and not s <= placed
+                    now_active = bool(s & trial) and not s <= trial
+                    active += now_active
+                    activated += now_active and not was_active
+                    deactivated += was_active and not now_active
+                key = (activated - deactivated, active, q)
+                if best is None or key < best[0]:
+                    best = (key, q)
+            current = best[1]
+
+    def total_edges(order: list[int]) -> int:
+        permuted = code_mod.permute(code, order)
+        return code_mod.profile(permuted.normalizer_tof()).total_edges
+
+    best_order = list(range(1, n + 1))
+    best_e = total_edges(best_order)
+    for seed in range(1, n + 1):
+        order = build_order(seed)
+        e = total_edges(order)
+        if e < best_e:
+            best_e, best_order = e, order
+    return best_order
 
 
 @pytest.fixture(scope="session")

@@ -106,22 +106,43 @@ def test_exit_code_io_error(runner):
     assert result.exit_code == 4
 
 
-def test_exit_code_corrupted_trellis(runner, tmp_path):
-    """A stored trellis with a source index outside its layer is a format error."""
+def _decode_corrupted(runner, tmp_path, corrupt):
+    """Build the Steane trellis, store ``corrupt`` of it and decode from the file."""
     out = tmp_path / "steane.trellis"
     assert runner.invoke(main, ["build", "--code", "steane", "--out", str(out)]).exit_code == 0
-    t = deserialize(out.read_bytes())
-    source = t.sections[3].source.copy()
-    source[0] = 10**6
-    sections = list(t.sections)
-    sections[3] = replace(sections[3], source=source)
-    out.write_bytes(serialize(replace(t, sections=tuple(sections))))
-    result = runner.invoke(
+    out.write_bytes(serialize(corrupt(deserialize(out.read_bytes()))))
+    return runner.invoke(
         main,
         [
             "decode", "--trellis", str(out), "--code", "steane",
             "--syndrome", "0,0,1,0,0,0", "--channel", "depolarizing:0.1",
         ],
     )
+
+
+def test_exit_code_corrupted_trellis(runner, tmp_path):
+    """A stored trellis with a source index outside its layer is a format error."""
+
+    def corrupt(t):
+        source = t.sections[3].source.copy()
+        source[0] = 10**6
+        sections = list(t.sections)
+        sections[3] = replace(sections[3], source=source)
+        return replace(t, sections=tuple(sections))
+
+    result = _decode_corrupted(runner, tmp_path, corrupt)
     assert result.exit_code == 4
     assert "source index" in result.output
+
+
+def test_exit_code_trellis_profile_mismatch(runner, tmp_path):
+    """A stored profile whose dim_past steps down is a format error."""
+
+    def corrupt(t):
+        past = list(t.profile.dim_past)
+        past[3] += 1
+        return replace(t, profile=replace(t.profile, dim_past=tuple(past)))
+
+    result = _decode_corrupted(runner, tmp_path, corrupt)
+    assert result.exit_code == 4
+    assert "dim_past" in result.output

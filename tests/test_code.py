@@ -21,7 +21,7 @@ from qtrellis.code import (
 )
 from qtrellis.pauli import PauliString, from_symplectic, parse_pauli, sym_inner
 
-from conftest import group_elements, random_commuting_gens
+from conftest import group_elements, random_commuting_gens, reference_greedy_numbering
 
 FIVE_ONE_THREE = ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
 
@@ -250,6 +250,36 @@ def test_greedy_numbering_never_worse():
         order = greedy_numbering(scrambled)
         improved = profile(permute(scrambled, order).normalizer_tof()).total_edges
         assert improved <= base
+
+
+def test_greedy_numbering_matches_set_reference(monkeypatch):
+    """Every seed's order, and the winner, equal the set-based search's."""
+    with monkeypatch.context() as m:
+        # the color families built in their construction order
+        m.setattr(code_mod, "greedy_numbering", lambda c: list(range(1, c.n + 1)))
+        codes = [code_mod.builtin(f, d) for f in ("color_666", "color_488") for d in (3, 5)]
+    for name in ("five_one_one", "five_one_three", "steane", "codetable_20_10_4"):
+        codes.append(code_mod.builtin(name))
+    codes += [code_mod.builtin("rotated_surface", d) for d in (3, 5)]
+    rng = np.random.default_rng(6)
+    for n, m_gens in ((4, 2), (5, 3), (5, 4), (6, 3)):
+        codes.append(new_code(3, random_commuting_gens(rng, n, m_gens, 3)))
+    scored: list[list[int]] = []
+    real_permute = code_mod.permute
+
+    def recording_permute(code, order):
+        scored.append(list(order))
+        return real_permute(code, order)
+
+    monkeypatch.setattr(code_mod, "permute", recording_permute)
+    for code in codes:
+        scored.clear()
+        got = greedy_numbering(code)
+        got_scored = list(scored)
+        scored.clear()
+        assert got == reference_greedy_numbering(code)
+        assert got_scored == scored
+        assert len(scored) == code.n + 1
 
 
 # ---------------------------------------------------------------------------

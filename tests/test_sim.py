@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qtrellis import code as code_mod
+from qtrellis import sim as sim_mod
 from qtrellis.code import profile
 from qtrellis.decode import decode_syndromes, measure_syndromes, mode_weights
 from qtrellis.sim import (
@@ -84,6 +85,19 @@ def test_exact_rate_matches_montecarlo_d3():
     pt = pts[0]
     sigma = np.sqrt(exact * (1 - exact) / pt.samples)
     assert abs(pt.rate_uncond - exact) < 3 * sigma
+
+
+def test_exact_rate_does_not_depend_on_chunking(monkeypatch):
+    """Failures are counted per weight in integers, so the chunk size drops out."""
+    code = code_mod.builtin("rotated_surface", 3)
+    trellises = build_trellises(code, "css")
+    # 2^18 depolarizing patterns in 256 chunks, 2^9 dephasing ones in 8
+    for kind, chunk in (("depolarizing", 1 << 10), ("dephasing_z", 1 << 6)):
+        channel = ChannelSpec(kind, 0.1)
+        default = exact_rate(code, channel, "css", trellises=trellises)
+        monkeypatch.setattr(sim_mod, "_PATTERN_CHUNK", chunk)
+        assert exact_rate(code, channel, "css", trellises=trellises) == default
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name,param", [("steane", None), ("rotated_surface", 3)])

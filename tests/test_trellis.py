@@ -405,6 +405,22 @@ def test_deserialize_rejects_out_of_range_edges(i, field, j, delta, negative):
         deserialize(_with_edge_entry(t, i, field, j, value))
 
 
+def test_deserialize_checks_the_stored_profile():
+    """Layer and section sizes must be p**e for the exponents the profile implies."""
+    t = _STEANE_TRELLIS
+    past = list(t.profile.dim_past)
+    for i in range(1, t.n):
+        if past[i] < past[i + 1]:
+            # still nondecreasing from 0 to dim, but layer i no longer fits
+            bad = past[:i] + [past[i + 1]] + past[i + 1 :]
+            blob = serialize(replace(t, profile=replace(t.profile, dim_past=tuple(bad))))
+            with pytest.raises(TrellisError, match="does not match the profile"):
+                deserialize(blob)
+    future = (0,) + t.profile.dim_future[1:]  # does not start at dim
+    with pytest.raises(TrellisError, match="dim_future"):
+        deserialize(serialize(replace(t, profile=replace(t.profile, dim_future=future))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(pos=st.integers(len(b"QTRLS"), len(_STEANE_BLOB) - 1), xor=st.integers(1, 255))
 def test_corrupted_trellis_fails_cleanly(pos, xor):
