@@ -409,7 +409,7 @@ def css_split(code: StabilizerCode) -> tuple[CssPart, CssPart]:
     def part(checks: list[PauliString], axis: str) -> CssPart:
         h = np.array(
             [(g.x if axis == "X" else g.z) for g in checks], dtype=np.int64
-        )
+        ).reshape(-1, n)
         ker = ffield.kernel(h, p)
         gens = []
         for v in ker:

@@ -2,10 +2,10 @@
 
 The trellis of a generator set is a layered directed multigraph whose
 root-to-sink paths are in bijection with the generated group.  Vertices at
-depth ``i`` carry partial-syndrome labels; edges of section ``i`` carry the
-single-site exponent pair acting at position ``i``.  Construction works for
-the full normalizer of a stabilizer code, for one axis of a CSS split, or
-for any explicit generator set.
+depth ``i`` carry partial syndromes against one check matrix; edges of
+section ``i`` carry the single-site exponent pair acting at position ``i``.
+Construction works for the full normalizer of a stabilizer code, for one
+axis of a CSS split, or for any explicit generator set.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .code import (
     TofGenerators,
     TrellisProfile,
     _commutation_matrix,
+    _symplectic_matrix,
     to_tof,
     profile as tof_profile,
     permute,
@@ -102,14 +103,18 @@ class TrellisSection:
 
 @dataclass(frozen=True)
 class Trellis:
-    """An immutable built trellis plus the profile it was predicted from."""
+    """An immutable built trellis plus the profile it was predicted from.
+
+    A path's label at depth i is its ``[x | z]`` vector with the sites past
+    i zeroed, times ``label_matrix`` (None when the labels were dropped).
+    """
 
     p: int
     n: int
     layers: tuple[TrellisLayer, ...]
     sections: tuple[TrellisSection, ...]
     profile: TrellisProfile
-    label_maps: tuple[np.ndarray, ...] | None = None
+    label_matrix: np.ndarray | None = None
 
     @property
     def total_vertices(self) -> int:
@@ -118,6 +123,14 @@ class Trellis:
     @property
     def total_edges(self) -> int:
         return sum(sec.size for sec in self.sections)
+
+    @property
+    def label_maps(self) -> tuple[np.ndarray, ...] | None:
+        """The n + 1 depth maps: ``label_matrix`` with the rows of sites past i zeroed."""
+        if self.label_matrix is None:
+            return None
+        site = np.tile(np.arange(self.n), 2)[:, None]
+        return tuple(self.label_matrix * (site < i) for i in range(self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -144,70 +157,55 @@ def _mixed_radix(digits: np.ndarray, p: int) -> np.ndarray:
     return idx
 
 
-def _resolve(source, order):
-    """Normalize a build source to (tof, label map matrices, profile).
+def _partial_syndromes(sym: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
+    """Labels of symplectic rows ``(..., 2n)`` at every depth, shape ``(..., n + 1, m)``.
 
-    Returns the TOF generators, the per-depth label matrices M_i (so that
-    the label of g at depth i is sym(g) @ M_i mod p), and the predicted
-    profile.  Codes label vertices by partial syndromes against their
-    stabilizers, CSS parts against their checks; bare generator sets get
-    canonical prefix-reduction labels.
+    Entry ``[..., i, :]`` is the row with the sites past ``i`` zeroed, times
+    ``L``: one cumulative sum of the per-site contributions.
+    """
+    n = L.shape[0] // 2
+    site = sym[..., :n, None] * L[:n] + sym[..., n:, None] * L[n:]
+    out = np.zeros(sym.shape[:-1] + (n + 1, L.shape[1]), dtype=np.int64)
+    np.cumsum(site, axis=-2, out=out[..., 1:, :])
+    return out % p
+
+
+def _resolve(source, order):
+    """Normalize a build source to (tof, label matrix, profile).
+
+    Vertices are labelled by partial syndromes against one set of checks: a
+    code's stabilizers, a CSS part's checks, or for a bare generator set a
+    basis of its symplectic complement (any basis gives the minimal, BCJR,
+    trellis).  Column c of the ``(2n, m)`` label matrix is ``[-z_c | x_c]``
+    of check c; ``m`` may be 0.
     """
     if isinstance(source, StabilizerCode):
         if order is not None:
             source = permute(source, order)
-        tof = source.normalizer_tof()
-        checks = source.stabilizers
+        tof, checks = source.normalizer_tof(), source.stabilizers
     elif isinstance(source, CssPart):
         if order is not None:
             raise TrellisError("permute the code before splitting")
-        tof = source.tof()
-        checks = source.checks
+        tof, checks = source.tof(), source.checks
+    elif isinstance(source, TofGenerators):
+        if order is not None:
+            raise TrellisError("permute the generators before reducing them")
+        tof, checks = source, None
     else:
-        if isinstance(source, TofGenerators):
-            tof = source
-        else:
-            gens = list(source)
-            if order is not None:
-                gens = [
-                    PauliString(
-                        g.p,
-                        g.x[np.array(order) - 1],
-                        g.z[np.array(order) - 1],
-                    )
-                    for g in gens
-                ]
-            tof = to_tof(gens)
-        checks = None
+        gens = list(source)
+        if order is not None:
+            if gens and sorted(order) != list(range(1, gens[0].n + 1)):
+                raise TrellisError("order must be a permutation of 1..n")
+            idx = np.array(order, dtype=np.int64) - 1
+            gens = [PauliString(g.p, g.x[idx], g.z[idx]) for g in gens]
+        tof, checks = to_tof(gens), None
     p, n = tof.p, tof.n
-    prof = tof_profile(tof)
-    maps = []
-    if checks is not None:
-        # column c of M computes sym_inner(checks[c], prefix): [-z_c | x_c]
-        full = _commutation_matrix(list(checks)).T
-        for i in range(n + 1):
-            masked = full.copy()
-            masked[i:n] = 0
-            masked[n + i :] = 0
-            maps.append(masked)
+    if checks is None:
+        sym = ffield.kernel(_commutation_matrix(list(tof.gens)), p)
     else:
-        # canonical labels: reduce the depth-i prefix modulo the past span
-        G = np.zeros((tof.dim, 2 * n), dtype=np.int64)
-        for r, g in enumerate(tof.gens):
-            G[r, :n] = g.x
-            G[r, n:] = g.z
-        for i in range(n + 1):
-            mask = np.zeros(2 * n, dtype=np.int64)
-            mask[:i] = 1
-            mask[n : n + i] = 1
-            past = G[[j for j in range(tof.dim) if tof.right[j] <= i]] * mask
-            M = np.eye(2 * n, dtype=np.int64)
-            if past.size:
-                red, pivots, rk = ffield.rref(past, p)
-                for r, c in enumerate(pivots):
-                    M[c] = (M[c] - red[r]) % p
-            maps.append((np.diag(mask) @ M) % p)
-    return tof, maps, prof
+        sym = _symplectic_matrix(list(checks)).reshape(-1, 2 * n)
+    L = np.hstack([-sym[:, n:], sym[:, :n]]).T % p
+    return tof, L, tof_profile(tof)
 
 
 def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
@@ -216,35 +214,34 @@ def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
     ``source`` may be a StabilizerCode (trellis of its normalizer), a
     CssPart, a TofGenerators, or a list of Pauli strings.  Refuses with
     CapacityError when the profile predicts more than ``max_edges`` edges.
+    Layer i is spanned by the labels of the TOF generators alive across
+    cut i, section i by those active at site i: a generator that has ended
+    has zero partial syndrome and one not yet started has a zero prefix.
     """
-    tof, maps, prof = _resolve(source, order)
-    p, n, dim = tof.p, tof.n, tof.dim
+    tof, L, prof = _resolve(source, order)
+    p, n = tof.p, tof.n
     if prof.total_edges > max_edges:
         raise CapacityError(
             f"predicted {prof.total_edges} edges exceeds cap {max_edges}"
         )
-    G = np.zeros((dim, 2 * n), dtype=np.int64)
-    for r, g in enumerate(tof.gens):
-        G[r, :n] = g.x
-        G[r, n:] = g.z
-    m = maps[0].shape[1]
+    G = _symplectic_matrix(list(tof.gens))
+    syn = _partial_syndromes(G, L, p)
+    left, right = np.array(tof.left), np.array(tof.right)
+    m = L.shape[1]
 
     layers = []
-    layer_piv = []
     for i in range(n + 1):
-        span = G @ maps[i] % p
-        red, pivots, rk = ffield.rref(span, p)
+        red, pivots, rk = ffield.rref(syn[(left <= i) & (i < right), i], p)
         if p**rk != prof.v_count[i]:
             raise TrellisError(f"layer {i} label count {p**rk} != profile")
         layers.append(
             TrellisLayer(p, p**rk, red[:rk], tuple(pivots), np.zeros(m, dtype=np.int64))
         )
-        layer_piv.append(tuple(pivots))
 
     sections = []
     for i in range(1, n + 1):
-        site = np.stack([G[:, i - 1], G[:, n + i - 1]], axis=1)
-        A = np.hstack([G @ maps[i - 1] % p, site, G @ maps[i] % p]) % p
+        act = (left <= i) & (i <= right)
+        A = np.hstack([syn[act, i - 1], G[act][:, [i - 1, n + i - 1]], syn[act, i]])
         red, pivots, rk = ffield.rref(A, p)
         if p**rk != prof.e_count[i - 1]:
             raise TrellisError(f"section {i} edge count {p**rk} != profile")
@@ -255,20 +252,18 @@ def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
             arr = (
                 arr[:, None, :] + np.arange(p, dtype=np.int16)[None, :, None] * row
             ).reshape(-1, w) % p
-        src = _mixed_radix(arr[:, list(layer_piv[i - 1])].astype(np.int64), p)
-        tgt = _mixed_radix(
-            arr[:, [m + 2 + c for c in layer_piv[i]]].astype(np.int64), p
-        )
+        src = _mixed_radix(arr[:, list(layers[i - 1].pivots)].astype(np.int64), p)
+        tgt = _mixed_radix(arr[:, [m + 2 + c for c in layers[i].pivots]].astype(np.int64), p)
         lab = arr[:, m : m + 2].astype(np.int64)
         order_idx = np.lexsort((lab[:, 0] * p + lab[:, 1], src, tgt))
         sections.append(
             TrellisSection(p, src[order_idx], tgt[order_idx], lab[order_idx])
         )
-    return Trellis(p, n, tuple(layers), tuple(sections), prof, tuple(maps))
+    return Trellis(p, n, tuple(layers), tuple(sections), prof, L)
 
 
 def shift(t: Trellis, pure_error: PauliString) -> Trellis:
-    """Overlay a syndrome shift: label maps change, structure is shared.
+    """Overlay a syndrome shift: vertex offsets change, structure is shared.
 
     Vertex labels pick up the pure error's partial syndrome and the edge
     label of section i is multiplied by the error's site-i component.  The
@@ -277,18 +272,13 @@ def shift(t: Trellis, pure_error: PauliString) -> Trellis:
     if pure_error.n != t.n or pure_error.p != t.p:
         raise TrellisError("shift string acts on a different system")
     p = t.p
-    sym = pure_error.symplectic()
     layers = list(t.layers)
-    if t.label_maps is not None:
-        new_layers = []
-        for i, layer in enumerate(t.layers):
-            if layer.basis is None:
-                new_layers.append(layer)
-                continue
-            off = sym @ t.label_maps[i] % p
-            base = layer.offset if layer.offset is not None else 0
-            new_layers.append(replace(layer, offset=(base + off) % p))
-        layers = new_layers
+    if t.label_matrix is not None:
+        off = _partial_syndromes(pure_error.symplectic(), t.label_matrix, p)
+        for i, layer in enumerate(layers):
+            if layer.basis is not None:
+                base = layer.offset if layer.offset is not None else 0
+                layers[i] = replace(layer, offset=(base + off[i]) % p)
     sections = []
     for i, sec in enumerate(t.sections, start=1):
         a, b = int(pure_error.x[i - 1]), int(pure_error.z[i - 1])
@@ -348,18 +338,16 @@ def product(t1: Trellis, t2: Trellis) -> Trellis:
         if dup.any():
             raise TrellisError(f"product is improper at section {i}")
         sections.append(TrellisSection(p, src, tgt, lab))
-    maps = None
-    if t1.label_maps is not None and t2.label_maps is not None:
-        maps = tuple(
-            np.hstack([a, b]) for a, b in zip(t1.label_maps, t2.label_maps)
-        )
+    L = None
+    if t1.label_matrix is not None and t2.label_matrix is not None:
+        L = np.hstack([t1.label_matrix, t2.label_matrix])
     return Trellis(
         p,
         n,
         tuple(layers),
         tuple(sections),
         _product_profile(t1.profile, t2.profile),
-        maps,
+        L,
     )
 
 
@@ -483,11 +471,14 @@ def enumerate_paths(t: Trellis):
 
 
 def serialize(t: Trellis, *, include_labels: bool = True) -> bytes:
-    """Versioned binary encoding; lossless with or without vertex labels."""
+    """Versioned binary encoding; lossless with or without vertex labels.
+
+    Version 1 stores the label matrix as the n + 1 ``Trellis.label_maps``.
+    """
     out = bytearray()
     out += _MAGIC
-    m = t.label_maps[0].shape[1] if t.label_maps is not None else 0
-    has_labels = include_labels and t.label_maps is not None
+    m = t.label_matrix.shape[1] if t.label_matrix is not None else 0
+    has_labels = include_labels and t.label_matrix is not None
     out += struct.pack("<HBHIIH", _VERSION, 1 if has_labels else 0, t.p, t.n, m, t.profile.dim)
     out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_past)
     out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_future)
@@ -529,7 +520,7 @@ class _Reader:
 
 
 def deserialize(data: bytes) -> Trellis:
-    """Inverse of :func:`serialize`."""
+    """Inverse of :func:`serialize`; keeps the last depth map as the label matrix."""
     r = _Reader(data)
     if r.take(len(_MAGIC)) != _MAGIC:
         raise TrellisError("bad magic: not a trellis stream")
@@ -578,15 +569,17 @@ def deserialize(data: bytes) -> Trellis:
         if lab.min() < 0 or lab.max() >= p:
             raise TrellisError(f"section {i + 1}: label outside [0, p)")
         sections.append(TrellisSection(p, src, tgt, lab))
-    maps = None
-    if has_labels:
-        maps = tuple(
-            np.frombuffer(r.take(2 * 2 * n * m), dtype=np.int16).reshape(2 * n, m).astype(np.int64)
-            for _ in range(n + 1)
-        )
+    maps = [
+        np.frombuffer(r.take(2 * 2 * n * m), dtype=np.int16).reshape(2 * n, m).astype(np.int64)
+        for _ in range(n + 1 if has_labels else 0)
+    ]
     # every size matched its exponent above, so the profile is exact
     prof = TrellisProfile.from_dims(p, n, dim, past, future)
-    return Trellis(p, n, tuple(layers), tuple(sections), prof, maps)
+    t = Trellis(p, n, tuple(layers), tuple(sections), prof, maps[-1] if maps else None)
+    for i, (M, want) in enumerate(zip(maps, t.label_maps or ())):
+        if not np.array_equal(M, want):
+            raise TrellisError(f"label map {i} is not the depth-{i} prefix of map {n}")
+    return t
 
 
 def to_json(t: Trellis) -> str:

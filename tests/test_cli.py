@@ -146,3 +146,17 @@ def test_exit_code_trellis_profile_mismatch(runner, tmp_path):
     result = _decode_corrupted(runner, tmp_path, corrupt)
     assert result.exit_code == 4
     assert "dim_past" in result.output
+
+
+def test_exit_code_label_map_not_a_prefix_mask(runner, tmp_path):
+    """A v1 file whose first stored depth map is not the empty prefix of the last is a format error."""
+    out = tmp_path / "steane.trellis"
+    assert runner.invoke(main, ["build", "--code", "steane", "--out", str(out)]).exit_code == 0
+    blob = out.read_bytes()
+    t = deserialize(blob)
+    size = 2 * t.label_matrix.size  # int16 entries per stored map
+    start = len(blob) - (t.n + 1) * size
+    out.write_bytes(blob[:start] + blob[-size:] + blob[start + size :])
+    result = runner.invoke(main, ["census", "--trellis", str(out)])
+    assert result.exit_code == 4
+    assert "label map 0" in result.output

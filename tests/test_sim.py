@@ -100,6 +100,24 @@ def test_exact_rate_does_not_depend_on_chunking(monkeypatch):
         monkeypatch.undo()
 
 
+def test_css_decoder_with_one_kind_of_check():
+    """The Z-check part of a code with X checks only has no checks and admits every X string."""
+    from qtrellis.pauli import parse_pauli
+
+    code = code_mod.new_code(2, [parse_pauli("XXI"), parse_pauli("IXX")])
+    trellises = build_trellises(code, "css")
+    assert trellises["z"].label_matrix.shape == (6, 0)
+    assert trellises["z"].total_edges == 2 * 3
+    channel = ChannelSpec("dephasing_z", 0.1)
+    exact = exact_rate(code, channel, "css", trellises=trellises)
+    assert exact == pytest.approx(3 * 0.1**2 * 0.9 + 0.1**3)  # two or three flips fail
+    (pt,) = run_montecarlo(
+        code, trellises, "dephasing_z", np.array([0.1]), 50000, 37, decoder="css"
+    )
+    sigma = np.sqrt(exact * (1 - exact) / pt.samples)
+    assert abs(pt.rate_uncond - exact) < 3 * sigma
+
+
 @pytest.mark.parametrize("name,param", [("steane", None), ("rotated_surface", 3)])
 def test_full_decoder_montecarlo_matches_exact_depolarizing(name, param):
     """Monte Carlo decodes from syndromes only, so ties cannot favour the true error."""

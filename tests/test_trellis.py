@@ -1,6 +1,8 @@
 """Trellis construction, shifting, products, census, validation, serialization."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -48,8 +50,7 @@ def trivial_trellis(p: int, n: int) -> Trellis:
         TrellisSection(p, zero, zero, np.zeros((1, 2), dtype=np.int64))
         for _ in range(n)
     )
-    maps = tuple(np.zeros((2 * n, 0), dtype=np.int64) for _ in range(n + 1))
-    return Trellis(p, n, layers, sections, prof, maps)
+    return Trellis(p, n, layers, sections, prof, np.zeros((2 * n, 0), dtype=np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -128,16 +129,32 @@ def test_path_count_single_generator():
     assert len(set(paths)) == 8
 
 
-def test_vertex_labels_are_partial_syndromes(t513, five_one_three):
-    gens = list(five_one_three.stabilizers)
-    from qtrellis.pauli import partial_syndrome
+def _visited_vertices(t: Trellis, P: PauliString) -> list[int]:
+    """The vertex a path visits at every depth; each step must follow exactly one edge."""
+    path = [0]
+    for i, sec in enumerate(t.sections):
+        hit = (sec.source == path[-1]) & (sec.label[:, 0] == P.x[i]) & (sec.label[:, 1] == P.z[i])
+        assert hit.sum() == 1
+        path.append(int(sec.target[hit][0]))
+    return path
 
-    for P in list(enumerate_paths(t513))[:16]:
-        # walk the path again and check each visited label
-        for i in range(t513.n + 1):
-            sigma = partial_syndrome(gens, P, i) % 2
-            labels = t513.layers[i].labels()
-            assert any(np.array_equal(row, sigma) for row in labels)
+
+def test_vertex_labels_are_partial_syndromes(t513, five_one_three, rng):
+    """Every visited vertex carries the path's partial syndrome against the label checks."""
+    from qtrellis.code import _commutation_matrix
+    from qtrellis.pauli import partial_syndrome, sym_inner
+
+    gens = random_commuting_gens(rng, 5, 3, 3)
+    complement = [from_symplectic(v, 3) for v in ffield.kernel(_commutation_matrix(gens), 3)]
+    assert len(complement) == 2 * 5 - 3
+    assert all(sym_inner(c, g) == 0 for c in complement for g in gens)
+    cases = [(t513, list(five_one_three.stabilizers)), (build(gens), complement)]
+    for t, checks in cases:
+        labels = [layer.labels() for layer in t.layers]
+        for P in enumerate_paths(t):
+            for i, v in enumerate(_visited_vertices(t, P)):
+                sigma = partial_syndrome(checks, P, i) % t.p
+                assert np.array_equal(labels[i][v], sigma)
 
 
 def test_capacity_refusal():
@@ -149,6 +166,59 @@ def test_build_order_argument(five_one_three):
     t = build(five_one_three, order=[5, 4, 3, 2, 1])
     assert validate(t) == []
     assert t.total_edges == build(five_one_three).total_edges  # cyclic symmetry
+    gens = [parse_pauli("XXI"), parse_pauli("IZZ")]
+    swapped = build(gens, order=[3, 2, 1])
+    assert set(enumerate_paths(swapped)) == group_elements([parse_pauli("IXX"), parse_pauli("ZZI")])
+    for bad in ([1, 1, 3], [0, 1, 2], [1, 2]):
+        with pytest.raises(TrellisError, match="permutation"):
+            build(gens, order=bad)
+    with pytest.raises(TrellisError, match="permute the generators"):
+        build(code_mod.to_tof(gens), order=[3, 2, 1])
+
+
+# SHA-256 of serialize(build(...)) for the normalizer and both CSS parts of
+# the built-ins; the [[20,3,6]] and [[20,4,6]] normalizers and the d = 9
+# surface code (about 3.5 s together) are left out for time
+_GOLDEN = {
+    ("codetable_20_10_4", None, "full"): "168a8bb2cf0c3983655a40ace121e40f32cb72090396d82cb1befa0ef284bb3f",
+    ("codetable_20_13_3", None, "full"): "c39ebfb1b0a97de2a8e2992d96c66a6e18a4c0eaa6b9f6b6105f7f516120119b",
+    ("color_488", 3, "full"): "acaea50c408f2476a5ce54c61b8c2fdb44aa9079fc2448c0444d11de2e969064",
+    ("color_488", 3, "x"): "aec458f0f11f8cd90fe16a8f42d5ec1c93e97e1bf5f5510d3b04a9059d173320",
+    ("color_488", 3, "z"): "5b16a763486e311ed84dd52d86d28f744c6af645faa65e80afdc8697320ba2fb",
+    ("color_488", 5, "full"): "1f9bfcbf11ec4b51982ffd55b7d1bff96eab301df14571acb6101054c473074f",
+    ("color_488", 5, "x"): "0fb9443da44722237f9b28eae611ad666e7c4096c3afadcc56c32fa8e76e29f6",
+    ("color_488", 5, "z"): "b00bcbe98d8872ace0e2606d1e23f0d89bd342372f146013880d2cbdb0922725",
+    ("color_488", 7, "x"): "c1f6f152250f8b060311e00463a00395c0526ce3e1cc61180918e59856e0fbee",
+    ("color_488", 7, "z"): "619f392f63bfa460c72551c478d78162ff67da87df35d6826de75dc523bfe0b4",
+    ("color_666", 3, "full"): "9698290ebfe8da5b5ae82d27052afa4d83ab2ba8b97d19df88780fc4eb979ce4",
+    ("color_666", 3, "x"): "2b51a27869333cf20e6a937be0c1011b45c169c6431bf2e707d9b598494a6762",
+    ("color_666", 3, "z"): "dfc0944f6675be883aea56eed85d30fe016a126620535371e5b178fa5e477bc0",
+    ("color_666", 5, "full"): "8ddce6698afa720911fc3138cf82ac7cceeaf1bb6b14d49e573078ef0d2525c9",
+    ("color_666", 5, "x"): "1d26aef2c856bcad2f498f76546fd76c72e098707f9500c9ec9469db7f7a8c84",
+    ("color_666", 5, "z"): "a3bdbb176b8c73fc38aead792a02693a4fad5d4168eee430ea00760ee16ea00f",
+    ("color_666", 7, "x"): "bd60921d5d9d500f77b362c0b4511f48c9f9a9daea542c7da2883f4ca562b35b",
+    ("color_666", 7, "z"): "c5b793364d7fe5370b0c179a9b73fc28011c4cd07e4249c59a2ed446270c2915",
+    ("five_one_one", None, "full"): "a26875b19d06bd1644c837a59e8d8412eac17ff160c375e46ee8d96b36eb4e84",
+    ("five_one_three", None, "full"): "a64ced9efc448a2494491f86e2810b3488cba4b5a2c532d4d7d6629b034b0fc9",
+    ("rotated_surface", 3, "full"): "bb9a3be62b2708b6032b91633256138371357313f92cd3d2f40bf2ef5a7c8480",
+    ("rotated_surface", 3, "x"): "920934813755c0dbb0087644f554c11d45a450d5bfd83fd548e4ece564942e08",
+    ("rotated_surface", 3, "z"): "3e39ad5df8d0e9423a6f6fa2ea481df90f8b572754dd687bca2e67cebc2cf370",
+    ("rotated_surface", 5, "full"): "da36c0337dbac7d868a0645b70160b6178088d056ccc64440fb20417b77b4bc6",
+    ("rotated_surface", 5, "x"): "bd513e49a987f4de5aec07c15a0bd1b9a91287c2b0ff4d6ea2991552372c220d",
+    ("rotated_surface", 5, "z"): "181f558c05bbed9b867f7b65f1d6414a590db92d62939c35e2f0d3b4fd682edf",
+    ("rotated_surface", 7, "x"): "6cc1b4f882042579b2cd0d3d7aa82aab30af5f94cd10228e8c576a3ee4bb819e",
+    ("rotated_surface", 7, "z"): "a17bd29cc620202b932c71ee36e641c1f90481417c4293b44bf5f6731701fa67",
+    ("steane", None, "full"): "d6dce471882c133ae41985e7bcad6eaad6699ea2150b1844c8c906479673e102",
+    ("steane", None, "x"): "c1b43af7822d2af3d794d7a22d805d0da04f53ef0a00d0c752748d7b26487827",
+    ("steane", None, "z"): "2b7c0e3f92600c07bdeb6beb0a7fa754a9805afc43c94cb5a08666cf46b1ddf7",
+}
+
+
+@pytest.mark.parametrize("name,d,part", sorted(_GOLDEN, key=str))
+def test_build_bytes_match_golden_digests(name, d, part):
+    code = code_mod.builtin(name, d)
+    source = code if part == "full" else css_split(code)["xz".index(part)]
+    assert hashlib.sha256(serialize(build(source))).hexdigest() == _GOLDEN[name, d, part]
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +249,18 @@ def test_shift_counts_invariant(t513, five_one_three, rng):
             np.array_equal(a.source, b.source) and np.array_equal(a.target, b.target)
             for a, b in zip(s.sections, t513.sections)
         )
+
+
+def test_shift_offsets_are_depth_map_products(t513, rng):
+    """One cumulative sum gives the offsets ``sym @ label_maps[i]`` of every depth."""
+    gens = random_commuting_gens(rng, 6, 4, 3)
+    for t in (t513, build(gens), build(css_split(code_mod.builtin("steane"))[0])):
+        maps = t.label_maps
+        assert len(maps) == t.n + 1
+        for _ in range(4):
+            T = PauliString(t.p, rng.integers(0, t.p, t.n), rng.integers(0, t.p, t.n))
+            for i, layer in enumerate(shift(t, T).layers):
+                assert np.array_equal(layer.offset, T.symplectic() @ maps[i] % t.p)
 
 
 def test_shift_paths_are_coset(t513, five_one_three):
@@ -360,6 +442,32 @@ def test_serialize_truncated_stream(t513):
         deserialize(blob[: len(blob) // 2])
     with pytest.raises(TrellisError):
         deserialize(b"NOTATRELLIS")
+
+
+def _with_label_map(t: Trellis, i: int, M: np.ndarray) -> bytes:
+    """The v1 bytes of ``t`` with its stored depth map ``i`` replaced by ``M``."""
+    blob = serialize(t)
+    size = 2 * t.label_matrix.size  # int16 entries
+    start = len(blob) - (t.n + 1 - i) * size
+    return blob[:start] + M.astype(np.int16).tobytes() + blob[start + size :]
+
+
+def test_v1_label_maps_are_prefix_masks_of_one_matrix(t513):
+    """Format v1 stores n + 1 depth maps; the reader keeps the last after checking the rest."""
+    maps = t513.label_maps
+    n, L = t513.n, t513.label_matrix
+    assert L.shape == (2 * n, 4) and len(maps) == n + 1
+    for i in range(n + 1):
+        assert not maps[i][i:n].any() and not maps[i][n + i :].any()
+        assert np.array_equal(maps[i][:i], L[:i]) and np.array_equal(maps[i][n : n + i], L[n : n + i])
+    assert np.array_equal(deserialize(serialize(t513)).label_matrix, L)
+    for i in range(n):  # map i holds a site past depth i
+        with pytest.raises(TrellisError, match=f"label map {i} is not"):
+            deserialize(_with_label_map(t513, i, L))
+    flipped = L.copy()
+    flipped[0, 0] ^= 1  # a different last map no longer extends map 1
+    with pytest.raises(TrellisError, match="label map 1 is not"):
+        deserialize(_with_label_map(t513, n, flipped))
 
 
 _STEANE = code_mod.builtin("steane")
