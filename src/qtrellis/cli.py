@@ -1,7 +1,8 @@
 """Command-line front end: profile, build, census, decode, simulate, fit.
 
-Exit codes: 0 success, 2 validation error, 3 resource cap exceeded,
-4 I/O or format error.
+Exit codes: 0 success, 2 validation error (including an empty ``simulate``
+grid), 3 resource cap exceeded, 4 I/O or format error (including a ``fit``
+input without the results columns).
 """
 from __future__ import annotations
 
@@ -23,19 +24,8 @@ from .decode import DecodeError
 from .sim import SimError
 from .trellis import CapacityError, TrellisError
 
-_BUILTIN_NAMES = {
-    "five_one_one",
-    "five_one_three",
-    "steane",
-    "steane_level2",
-    "rotated_surface",
-    "color_666",
-    "color_488",
-    "codetable_20_3_6",
-    "codetable_20_4_6",
-    "codetable_20_10_4",
-    "codetable_20_13_3",
-}
+# the columns of a results CSV that ``fit`` reads
+_FIT_COLUMNS = ("distance", "p_phys", "samples", "failures", "rate_cond", "rate_uncond", "ci_lo", "ci_hi")
 
 
 def _fail(exit_code: int, message: str):
@@ -60,7 +50,7 @@ def _guard(fn):
 
 
 def _load_code(name: str, distance: int | None, order_file: str | None):
-    if name in _BUILTIN_NAMES:
+    if name in code_mod.BUILTIN_NAMES:
         c = code_mod.builtin(name, distance)
     else:
         with open(name, encoding="utf-8") as handle:
@@ -214,6 +204,10 @@ def simulate_cmd(
     code_name, distance, channel_kind, p_min, p_max, p_step, samples, seed, decoder, out_file, max_edges
 ):
     """Monte Carlo logical failure rates over a physical-rate grid."""
+    if not p_step > 0:
+        raise SimError(f"--p-step {p_step} must be positive")
+    if p_min > p_max:
+        raise SimError(f"--p-min {p_min} exceeds --p-max {p_max}")
     c = _load_code(code_name, distance, None)
     kind = channel_kind.replace("-", "_")
     grid = np.arange(p_min, p_max + p_step / 2, p_step)
@@ -247,7 +241,11 @@ def fit_cmd(in_file, dmin):
     """Threshold fit from a results CSV; prints JSON."""
     datasets: dict[int, list[sim_mod.DataPoint]] = {}
     with open(in_file, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.DictReader(handle)
+        missing = [col for col in _FIT_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            _fail(4, f"{in_file}: missing results column(s) {', '.join(missing)}")
+        for row in reader:
             d = int(row["distance"])
             pt = sim_mod.DataPoint(
                 float(row["p_phys"]), int(row["samples"]), int(row["failures"]),

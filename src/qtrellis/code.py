@@ -9,40 +9,24 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import ffield
 from .pauli import (
     PauliString,
+    commutation_matrix,
+    commutation_rows,
     format_pauli,
     from_symplectic,
     parse_pauli,
-    sym_inner,
+    symplectic_matrix,
 )
 
 
 class CodeError(ValueError):
     """Raised when a stabilizer code fails validation."""
-
-
-# ---------------------------------------------------------------------------
-# symplectic helpers
-
-
-def _symplectic_matrix(gens: list[PauliString]) -> np.ndarray:
-    """Rows are the ``[x | z]`` vectors of ``gens``."""
-    return np.array([g.symplectic() for g in gens], dtype=np.int64)
-
-
-def _commutation_matrix(gens: list[PauliString]) -> np.ndarray:
-    """Rows c_j with ``c_j . [x_E | z_E] = sym_inner(gens[j], E)``."""
-    rows = []
-    for g in gens:
-        rows.append(np.concatenate([-g.z, g.x]))
-    p = gens[0].p
-    return np.array(rows, dtype=np.int64) % p
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +67,7 @@ def to_tof(gens: list[PauliString]) -> TofGenerators:
     if not gens:
         raise ValueError("empty generator set")
     p, n, m = gens[0].p, gens[0].n, len(gens)
-    interleaved = _symplectic_matrix(gens).reshape(m, 2, n).transpose(0, 2, 1)
+    interleaved = symplectic_matrix(gens).reshape(m, 2, n).transpose(0, 2, 1)
     rows, _, rk = ffield.rref(interleaved.reshape(m, 2 * n), p)
     if rk < m:
         raise CodeError(f"dependent generators: rank {rk} < {m}")
@@ -196,12 +180,12 @@ class StabilizerCode:
     @cached_property
     def check_matrix(self) -> np.ndarray:
         """Rows ``[-z | x]`` of the stabilizers: ``C @ [x | z]`` is the syndrome."""
-        return _frozen(_commutation_matrix(list(self.stabilizers)))
+        return _frozen(commutation_matrix(list(self.stabilizers)))
 
     @cached_property
     def logical_matrix(self) -> np.ndarray:
         """Rows ``[-z | x]`` of the logical generators, in the same form."""
-        return _frozen(_commutation_matrix(list(self.logical_gens)))
+        return _frozen(commutation_matrix(list(self.logical_gens)))
 
     @cached_property
     def pure_error_map(self) -> np.ndarray:
@@ -235,41 +219,37 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _extract_logicals(norm_rows: np.ndarray, p: int, n: int, k: int) -> list[PauliString]:
+def _first_clash(gram: np.ndarray) -> tuple[int, int, int] | None:
+    """First nonzero ``(i, j, gram[i, j])`` with ``i < j`` in row-major order, or None.
+
+    ``gram`` holds commutation values, ``commutation_rows(A, p) @ A.T % p``.
+    """
+    clash = np.argwhere(np.triu(gram, 1))
+    if not clash.size:
+        return None
+    i, j = clash[0].tolist()
+    return i, j, int(gram[i, j])
+
+
+def _extract_logicals(norm_rows: np.ndarray, p: int, k: int) -> list[PauliString]:
     """Pair 2k logical generators out of the normalizer basis.
 
     Symplectic Gram-Schmidt: repeatedly find a non-commuting pair, scale it
     to inner product 1, then strip its components from everything else.
     """
-
-    def inner(u, v):
-        return int((u[:n] @ v[n:] - u[n:] @ v[:n]) % p)
-
-    pool = [v.copy() for v in norm_rows]
+    pool = norm_rows
     logicals: list[np.ndarray] = []
     while len(logicals) < 2 * k:
-        pair = None
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                c = inner(pool[i], pool[j])
-                if c:
-                    pair = (i, j, c)
-                    break
-            if pair:
-                break
+        pair = _first_clash(commutation_rows(pool, p) @ pool.T % p)
         if pair is None:
             raise CodeError("failed to pair logical generators")
         i, j, c = pair
         u = pool[i]
         v = (pool[j] * ffield.inv_mod(c, p)) % p
-        rest = []
-        for t, w in enumerate(pool):
-            if t in (i, j):
-                continue
-            w = (w - inner(w, v) * u + inner(w, u) * v) % p
-            rest.append(w)
+        rest = np.delete(pool, [i, j], axis=0)
+        comm = commutation_rows(rest, p)
+        pool = (rest - np.outer(comm @ v, u) + np.outer(comm @ u, v)) % p
         logicals.extend([u, v])
-        pool = rest
     return [from_symplectic(v, p) for v in logicals]
 
 
@@ -284,7 +264,9 @@ def new_code(
     """Validate generators and assemble a :class:`StabilizerCode`.
 
     Computes the normalizer basis as the symplectic kernel of the stabilizer
-    matrix and extracts 2k paired logical generators unless provided.
+    matrix and extracts 2k paired logical generators unless provided.  Each
+    commutation test is one product of the stabilizers' ``[-z | x]`` rows
+    with ``[x | z]`` rows; a failure names the first non-commuting pair.
     """
     ffield.check_prime(p)
     if not stabilizers:
@@ -295,13 +277,12 @@ def new_code(
             raise CodeError("stabilizers disagree on p or n")
         if g.weight() < 2:
             raise CodeError(f"stabilizer {format_pauli(g)} has weight < 2")
-    for i, g in enumerate(stabilizers):
-        for h in stabilizers[i + 1 :]:
-            if sym_inner(g, h):
-                raise CodeError(
-                    f"stabilizers do not commute: {format_pauli(g)}, {format_pauli(h)}"
-                )
-    stab_rows = _symplectic_matrix(stabilizers)
+    stab_rows = symplectic_matrix(stabilizers)
+    comm = commutation_rows(stab_rows, p)
+    clash = _first_clash(comm @ stab_rows.T % p)
+    if clash is not None:
+        g, h = stabilizers[clash[0]], stabilizers[clash[1]]
+        raise CodeError(f"stabilizers do not commute: {format_pauli(g)}, {format_pauli(h)}")
     m = len(stabilizers)
     rk = ffield.rank(stab_rows, p)
     if rk != m:
@@ -310,24 +291,21 @@ def new_code(
     if k <= 0:
         raise CodeError("k = 0 unsupported")
 
-    comm = _commutation_matrix(stabilizers)
     norm_rows = ffield.kernel(comm, p)
     if norm_rows.shape[0] != n + k:
         raise CodeError("normalizer dimension mismatch")
 
     if logicals is None:
-        logical_gens = _extract_logicals(norm_rows, p, n, k)
+        logical_gens = _extract_logicals(norm_rows, p, k)
     else:
         if len(logicals) != 2 * k:
             raise CodeError(f"expected {2 * k} logical generators")
-        for l in logicals:
-            if l.p != p or l.n != n:
-                raise CodeError("logicals disagree on p or n")
-            for s in stabilizers:
-                if sym_inner(s, l):
-                    raise CodeError("logical anticommutes with a stabilizer")
+        if any(l.p != p or l.n != n for l in logicals):
+            raise CodeError("logicals disagree on p or n")
+        if (comm @ symplectic_matrix(logicals).T % p).any():
+            raise CodeError("logical anticommutes with a stabilizer")
         logical_gens = list(logicals)
-    full = np.vstack([stab_rows, _symplectic_matrix(logical_gens)])
+    full = np.vstack([stab_rows, symplectic_matrix(logical_gens)])
     if ffield.rank(full, p) != n + k:
         raise CodeError("stabilizers and logicals do not span the normalizer")
 
@@ -374,7 +352,6 @@ class CssPart:
 
     ``checks`` are the pure-axis stabilizers; ``gens`` generate the dual-axis
     strings with zero syndrome against the checks (the trellis path set).
-    ``weight_axis`` names the single-site label alphabet of this trellis.
     """
 
     axis: str
@@ -386,11 +363,6 @@ class CssPart:
     @property
     def k_classical(self) -> int:
         return self.n - len(self.checks)
-
-    @property
-    def weight_axis(self) -> str:
-        # the X-stabilizer trellis carries {I, Z} labels and vice versa
-        return "Z" if self.axis == "X" else "X"
 
     def tof(self) -> TofGenerators:
         return to_tof(list(self.gens))
@@ -524,13 +496,12 @@ def parse_code_file(text: str) -> StabilizerCode:
     return new_code(p, read_strings(stab_rows), logicals)
 
 
-def write_code_file(code: StabilizerCode, include_logicals: bool = True) -> str:
+def write_code_file(code: StabilizerCode) -> str:
     """Serialize a code in the text format accepted by :func:`parse_code_file`."""
     lines = [f"{code.p} {code.n} {code.k}"]
     lines += [format_pauli(g) for g in code.stabilizers]
-    if include_logicals:
-        lines.append("LOGICALS")
-        lines += [format_pauli(g) for g in code.logical_gens]
+    lines.append("LOGICALS")
+    lines += [format_pauli(g) for g in code.logical_gens]
     return "\n".join(lines) + "\n"
 
 
@@ -567,8 +538,6 @@ def _rotated_surface(d: int) -> StabilizerCode:
     corner parity) and X; boundary half-faces sit on the left/right edges
     (Z) and the top/bottom edges (X).
     """
-    if d < 3 or d % 2 == 0:
-        raise CodeError("distance must be odd and >= 3")
     n = d * d
 
     def label(i: int, j: int) -> int:
@@ -598,8 +567,6 @@ def _rotated_surface(d: int) -> StabilizerCode:
 
 def _color_666(d: int) -> StabilizerCode:
     """Triangular 6.6.6 color code of odd distance d, greedy qudit numbering."""
-    if d < 3 or d % 2 == 0:
-        raise CodeError("distance must be odd and >= 3")
     rmax = 3 * (d - 1) // 2
     sites = [(r, c) for r in range(rmax + 1) for c in range(r + 1)]
     plaq = [(r, c) for (r, c) in sites if (r + c) % 3 == 1]
@@ -618,8 +585,6 @@ def _color_666(d: int) -> StabilizerCode:
 
 def _color_488(d: int) -> StabilizerCode:
     """Triangular 4.8.8 color code of odd distance d, greedy qudit numbering."""
-    if d < 3 or d % 2 == 0:
-        raise CodeError("distance must be odd and >= 3")
     faces = _color_488_faces(d)
     n = max(max(f) for f in faces)
     stabs = [_x_string(n, f) for f in faces] + [_z_string(n, f) for f in faces]
@@ -687,21 +652,6 @@ def _color_488_faces(d: int) -> list[list[int]]:
     return [sorted(index[q] for q in face) for face in sorted(supports, key=sorted)]
 
 
-_BUILTIN_FILES = {
-    "codetable_20_3_6": "codetable_20_3_6.qcode",
-    "codetable_20_4_6": "codetable_20_4_6.qcode",
-    "codetable_20_10_4": "codetable_20_10_4.qcode",
-    "codetable_20_13_3": "codetable_20_13_3.qcode",
-}
-
-_BUILTIN_DISTANCE = {
-    "codetable_20_3_6": 6,
-    "codetable_20_4_6": 6,
-    "codetable_20_10_4": 4,
-    "codetable_20_13_3": 3,
-}
-
-
 def _five_one_one() -> StabilizerCode:
     stabs = [parse_pauli(s) for s in ("ZXIII", "XZXII", "IXZXI", "IIXZX")]
     return new_code(2, stabs, name="five_one_one", distance=1)
@@ -739,37 +689,40 @@ def _steane_level2() -> StabilizerCode:
     return new_code(2, stabs_x + stabs_z, name="steane_level2", distance=9)
 
 
+def _codetable(name: str) -> StabilizerCode:
+    """A bundled code from ``data/<name>.qcode``; names read ``codetable_<n>_<k>_<d>``."""
+    data = importlib.resources.files("qtrellis").joinpath("data", f"{name}.qcode").read_text()
+    return replace(parse_code_file(data), name=name, distance=int(name.rsplit("_", 1)[1]))
+
+
+# the built-in codes: fixed codes by name, and families whose constructor
+# takes an odd distance >= 3
+_FIXED = {
+    "five_one_one": _five_one_one,
+    "five_one_three": _five_one_three,
+    "steane": _steane,
+    "steane_level2": _steane_level2,
+    **{
+        name: partial(_codetable, name)
+        for name in ("codetable_20_3_6", "codetable_20_4_6", "codetable_20_10_4", "codetable_20_13_3")
+    },
+}
+_FAMILIES = {"rotated_surface": _rotated_surface, "color_666": _color_666, "color_488": _color_488}
+BUILTIN_NAMES = frozenset(_FIXED) | frozenset(_FAMILIES)
+
+
 def builtin(name: str, parameter: int | None = None) -> StabilizerCode:
     """Construct a built-in code by name.
 
     Parameterized families (``rotated_surface``, ``color_666``,
     ``color_488``) require an odd distance >= 3.
     """
-    simple = {
-        "five_one_one": _five_one_one,
-        "five_one_three": _five_one_three,
-        "steane": _steane,
-        "steane_level2": _steane_level2,
-    }
-    if name in simple:
-        return simple[name]()
-    if name in _BUILTIN_FILES:
-        data = (
-            importlib.resources.files("qtrellis")
-            .joinpath("data", _BUILTIN_FILES[name])
-            .read_text()
-        )
-        return replace(parse_code_file(data), name=name, distance=_BUILTIN_DISTANCE[name])
-    if name == "rotated_surface":
-        if parameter is None:
-            raise CodeError("rotated_surface requires a distance")
-        return _rotated_surface(parameter)
-    if name == "color_666":
-        if parameter is None:
-            raise CodeError("color_666 requires a distance")
-        return _color_666(parameter)
-    if name == "color_488":
-        if parameter is None:
-            raise CodeError("color_488 requires a distance")
-        return _color_488(parameter)
-    raise CodeError(f"unknown built-in code {name!r}")
+    if name in _FIXED:
+        return _FIXED[name]()
+    if name not in _FAMILIES:
+        raise CodeError(f"unknown built-in code {name!r}")
+    if parameter is None:
+        raise CodeError(f"{name} requires a distance")
+    if parameter < 3 or parameter % 2 == 0:
+        raise CodeError("distance must be odd and >= 3")
+    return _FAMILIES[name](parameter)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, from_symplectic, mul, sym_inner, syndrome
+from .pauli import PauliString, from_symplectic, mul
 from .code import StabilizerCode
 from .trellis import Trellis, TrellisError
 
@@ -286,6 +286,17 @@ def measure_syndromes(
     return S
 
 
+def logical_flags(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``[x | z] @ logical_matrix.T mod p``: entry j is ``sym_inner(logical_gens[j], E)``.
+
+    ``x`` and ``z`` are the exponents of one error or of a batch, shape
+    ``(n,)`` or ``(count, n)``.  A zero-syndrome error acts trivially on the
+    code space exactly when all its flags are zero.
+    """
+    L, n = code.logical_matrix, code.n
+    return (x @ L[:, :n].T + z @ L[:, n:].T) % code.p
+
+
 # entries in one (rows, section edges) temporary of the kernel: 512 KB at
 # 8 B, so a section's few live temporaries stay inside a 2 MB L2 cache
 _EDGE_BUDGET = 2**16
@@ -360,13 +371,15 @@ def classify_residual(
     """Judge a correction against the actual error.
 
     The residual acts trivially exactly when it commutes with all 2k
-    logical generators and has zero syndrome; the returned flags are the
-    residual's commutation values against each logical generator.
+    logical generators and has zero syndrome; its syndrome is read off
+    ``code.check_matrix``.  The returned flags are the residual's
+    commutation values ``sym_inner(residual, g)`` against each logical
+    generator g: the negated :func:`logical_flags`, which differs for p > 2.
     """
     residual = mul(true_error, correction)
-    if np.any(syndrome(list(code.stabilizers), residual) % code.p):
+    if np.any(code.check_matrix @ residual.symplectic() % code.p):
         return INCONSISTENT, ()
-    flags = tuple(sym_inner(residual, g) for g in code.logical_gens)
+    flags = tuple((-logical_flags(code, residual.x, residual.z) % code.p).tolist())
     return (SUCCESS if not any(flags) else LOGICAL_FAILURE), flags
 
 

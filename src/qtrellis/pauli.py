@@ -3,6 +3,10 @@
 An n-qudit Pauli string is stored as the pair of exponent vectors ``(x, z)``
 with the operator reading ``prod_i X_i^{x_i} Z_i^{z_i}``; global phases are
 dropped throughout.  Qudit positions are 1-based in all public interfaces.
+
+The symplectic form has one home here: a set of strings is the matrix of
+its ``[x | z]`` rows, and its ``[-z | x]`` rows turn every commutation,
+syndrome and logical-class test into one matrix product.
 """
 from __future__ import annotations
 
@@ -110,13 +114,38 @@ def prefix(P: PauliString, i: int) -> PauliString:
     return PauliString(P.p, x, z)
 
 
+def symplectic_matrix(gens: list[PauliString]) -> np.ndarray:
+    """Rows are the ``[x | z]`` vectors of ``gens``."""
+    return np.array([g.symplectic() for g in gens], dtype=np.int64)
+
+
+def commutation_rows(sym: np.ndarray, p: int) -> np.ndarray:
+    """The ``[-z | x]`` rows of ``[x | z]`` rows ``sym``, mod p.
+
+    Row j of the result dotted with ``[x_E | z_E]`` is the symplectic inner
+    product of row j with E, so ``commutation_rows(A, p) @ B.T % p`` holds
+    every commutation value between the rows of A and of B.
+    """
+    n = sym.shape[-1] // 2
+    return np.concatenate([-sym[..., n:], sym[..., :n]], axis=-1) % p
+
+
+def commutation_matrix(gens: list[PauliString]) -> np.ndarray:
+    """Rows c_j with ``c_j . [x_E | z_E] = sym_inner(gens[j], E)``."""
+    return commutation_rows(symplectic_matrix(gens), gens[0].p)
+
+
 def partial_syndrome(gens: list[PauliString], P: PauliString, i: int) -> np.ndarray:
     """Syndrome of the depth-``i`` prefix of ``P`` against ``gens``.
 
-    Component j is ``sym_inner(gens[j], prefix(P, i))``.
+    Component j is ``sym_inner(gens[j], prefix(P, i))``: one product of the
+    ``[-z | x]`` rows of ``gens`` with the prefix's ``[x | z]`` vector.
     """
     Pi = prefix(P, i)
-    return np.array([sym_inner(g, Pi) for g in gens], dtype=np.int64)
+    if any(g.p != P.p or g.n != P.n for g in gens):
+        raise ValueError("operands act on different systems")
+    rows = symplectic_matrix(gens).reshape(len(gens), 2 * P.n)
+    return commutation_rows(rows, P.p) @ Pi.symplectic() % P.p
 
 
 def syndrome(gens: list[PauliString], P: PauliString) -> np.ndarray:

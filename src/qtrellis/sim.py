@@ -13,7 +13,7 @@ import numpy as np
 from .pauli import PauliString
 from .code import StabilizerCode, css_split
 from .trellis import Trellis, CapacityError, build
-from .decode import decode_syndromes, measure_syndromes, mode_weights, _site_probs
+from .decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights, _site_probs
 
 _WILSON_Z = 1.959963984540054  # 95%
 # error patterns enumerated at once by exact_rate: a (chunk, 2n) int64
@@ -150,7 +150,6 @@ def exact_rate(
     total = p**bits
     powers = p ** np.arange(bits, dtype=np.int64)
     m = len(code.stabilizers)
-    L = code.logical_matrix
     radix = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
     def patterns():
@@ -173,13 +172,12 @@ def exact_rate(
     # decode every distinct syndrome once
     weights = mode_weights(code, decoder, channel)
     corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, s_digits)
-    corr_flags = (corr_x @ L[:, :n].T + corr_z @ L[:, n:].T) % p
+    corr_flags = logical_flags(code, corr_x, corr_z)
     # pass 2: count the failing patterns of each Hamming weight exactly
     fails = np.zeros(n + 1, dtype=np.int64)
     for err_x, err_z in patterns():
         rows = np.searchsorted(unique, measure_syndromes(code, decoder, err_x, err_z) @ radix)
-        err_flags = (err_x @ L[:, :n].T + err_z @ L[:, n:].T) % p
-        fail = ((err_flags + corr_flags[rows]) % p).any(axis=1)
+        fail = ((logical_flags(code, err_x, err_z) + corr_flags[rows]) % p).any(axis=1)
         weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
         fails += np.bincount(weight[fail], minlength=n + 1)
     site = r / (p - 1) if channel.single_axis else r / (p * p - 1)
@@ -253,8 +251,8 @@ def run_montecarlo(
             S = measure_syndromes(code, decoder, err_x[lo:hi], err_z[lo:hi])
             corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, S)
             # the decode fails when error times correction acts logically
-            res = np.hstack([err_x[lo:hi] + corr_x, err_z[lo:hi] + corr_z])
-            failures += int((res @ code.logical_matrix.T % p).any(axis=1).sum())
+            flags = logical_flags(code, err_x[lo:hi] + corr_x, err_z[lo:hi] + corr_z)
+            failures += int(flags.any(axis=1).sum())
         rate_cond = failures / samples
         p_nt = 1.0 - (1.0 - channel.p_phys) ** n
         lo, hi = _wilson(failures, samples)

@@ -17,14 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from . import ffield
-from .pauli import PauliString
+from .pauli import PauliString, commutation_matrix, commutation_rows, symplectic_matrix
 from .code import (
     CssPart,
     StabilizerCode,
     TofGenerators,
     TrellisProfile,
-    _commutation_matrix,
-    _symplectic_matrix,
     to_tof,
     profile as tof_profile,
     permute,
@@ -176,8 +174,8 @@ def _resolve(source, order):
     Vertices are labelled by partial syndromes against one set of checks: a
     code's stabilizers, a CSS part's checks, or for a bare generator set a
     basis of its symplectic complement (any basis gives the minimal, BCJR,
-    trellis).  Column c of the ``(2n, m)`` label matrix is ``[-z_c | x_c]``
-    of check c; ``m`` may be 0.
+    trellis).  The ``(2n, m)`` label matrix is the transposed ``[-z | x]``
+    rows of the checks; ``m`` may be 0.
     """
     if isinstance(source, StabilizerCode):
         if order is not None:
@@ -201,11 +199,10 @@ def _resolve(source, order):
         tof, checks = to_tof(gens), None
     p, n = tof.p, tof.n
     if checks is None:
-        sym = ffield.kernel(_commutation_matrix(list(tof.gens)), p)
+        sym = ffield.kernel(commutation_matrix(list(tof.gens)), p)
     else:
-        sym = _symplectic_matrix(list(checks)).reshape(-1, 2 * n)
-    L = np.hstack([-sym[:, n:], sym[:, :n]]).T % p
-    return tof, L, tof_profile(tof)
+        sym = symplectic_matrix(list(checks)).reshape(len(checks), 2 * n)
+    return tof, commutation_rows(sym, p).T, tof_profile(tof)
 
 
 def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
@@ -224,7 +221,7 @@ def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
         raise CapacityError(
             f"predicted {prof.total_edges} edges exceeds cap {max_edges}"
         )
-    G = _symplectic_matrix(list(tof.gens))
+    G = symplectic_matrix(list(tof.gens))
     syn = _partial_syndromes(G, L, p)
     left, right = np.array(tof.left), np.array(tof.right)
     m = L.shape[1]

@@ -83,6 +83,33 @@ def test_simulate_then_fit(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "p_min, p_max, p_step",
+    [("0.05", "0.1", "0"), ("0.05", "0.1", "-0.01"), ("0.1", "0.05", "0.01")],
+)
+def test_simulate_rejects_an_empty_grid(runner, tmp_path, p_min, p_max, p_step):
+    out = tmp_path / "results.csv"
+    result = runner.invoke(
+        main,
+        [
+            "simulate", "--code", "steane", "--channel", "depolarizing",
+            f"--p-min={p_min}", f"--p-max={p_max}", f"--p-step={p_step}",
+            "--samples", "100", "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "error: --p-" in result.output
+    assert not out.exists()
+
+
+def test_fit_rejects_a_csv_without_results_columns(runner, tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("p_phys,failures\n0.1,3\n")
+    result = runner.invoke(main, ["fit", "--in", str(path)])
+    assert result.exit_code == 4
+    assert "missing results column(s) distance" in result.output
+
+
 def test_exit_code_validation_error(runner):
     result = runner.invoke(main, ["profile", "--code", "color_666", "--distance", "4"])
     assert result.exit_code == 2

@@ -19,7 +19,7 @@ from qtrellis.code import (
     to_tof,
     write_code_file,
 )
-from qtrellis.pauli import PauliString, from_symplectic, parse_pauli, sym_inner
+from qtrellis.pauli import PauliString, commutation_matrix, from_symplectic, parse_pauli, sym_inner
 
 from conftest import group_elements, random_commuting_gens, reference_greedy_numbering
 
@@ -198,6 +198,42 @@ def test_new_code_validation():
         new_code(4, [parse_pauli("XX")])
 
 
+@pytest.mark.parametrize(
+    "stabs, pair",
+    [
+        # IZZ anticommutes with XXI and with XIX: clashes (0, 2) and (1, 2)
+        (("XXI", "XIX", "IZZ"), "XXI, IZZ"),
+        # clashes (0, 3) and (1, 2): the first in row-major order is (0, 3)
+        (("XXII", "IIXX", "ZZIZ", "ZIZZ"), "XXII, ZIZZ"),
+    ],
+)
+def test_new_code_names_the_first_noncommuting_pair(stabs, pair):
+    with pytest.raises(CodeError, match=rf"^stabilizers do not commute: {pair}$"):
+        new_code(2, [parse_pauli(s) for s in stabs])
+
+
+def test_new_code_rejects_logicals():
+    stabs = [parse_pauli(s) for s in ("ZZI", "IZZ")]
+    with pytest.raises(CodeError, match="^logical anticommutes with a stabilizer$"):
+        new_code(2, stabs, [parse_pauli("XXX"), parse_pauli("XII")])
+    with pytest.raises(CodeError, match="^logicals disagree on p or n$"):
+        new_code(2, stabs, [parse_pauli("XXX"), parse_pauli("ZIII")])
+    code = new_code(2, stabs, [parse_pauli("XXX"), parse_pauli("ZII")])
+    assert list(code.logical_gens) == [parse_pauli("XXX"), parse_pauli("ZII")]
+
+
+def test_builtin_family_checks():
+    for name in ("rotated_surface", "color_666", "color_488"):
+        assert name in code_mod.BUILTIN_NAMES
+        with pytest.raises(CodeError, match=f"^{name} requires a distance$"):
+            code_mod.builtin(name)
+        for d in (1, 2, 4):
+            with pytest.raises(CodeError, match="^distance must be odd and >= 3$"):
+                code_mod.builtin(name, d)
+    with pytest.raises(CodeError, match="unknown built-in code 'nope'"):
+        code_mod.builtin("nope")
+
+
 def test_normalizer_and_logicals():
     for name in ("five_one_three", "steane"):
         code = code_mod.builtin(name)
@@ -209,6 +245,38 @@ def test_normalizer_and_logicals():
         for j in range(code.k):
             a, b = code.logical_gens[2 * j], code.logical_gens[2 * j + 1]
             assert sym_inner(a, b) % code.p == 1
+
+
+def _reference_logicals(norm_rows: np.ndarray, p: int, k: int) -> list[np.ndarray]:
+    """The pairwise symplectic Gram-Schmidt that the matrix form replaced; a test oracle."""
+    n = norm_rows.shape[1] // 2
+
+    def inner(u, v):
+        return int((u[:n] @ v[n:] - u[n:] @ v[:n]) % p)
+
+    pool = list(norm_rows)
+    out: list[np.ndarray] = []
+    while len(out) < 2 * k:
+        i, j, c = next(
+            (i, j, inner(pool[i], pool[j]))
+            for i in range(len(pool))
+            for j in range(i + 1, len(pool))
+            if inner(pool[i], pool[j])
+        )
+        u, v = pool[i], pool[j] * ffield.inv_mod(c, p) % p
+        pool = [(w - inner(w, v) * u + inner(w, u) * v) % p for t, w in enumerate(pool) if t not in (i, j)]
+        out += [u, v]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_logical_extraction_matches_pairwise_reference(p):
+    rng = np.random.default_rng(p)
+    for n, m in ((5, 2), (6, 3), (7, 3)):
+        code = new_code(p, random_commuting_gens(rng, n, m, p))
+        norm_rows = ffield.kernel(commutation_matrix(list(code.stabilizers)), p)
+        want = _reference_logicals(norm_rows, p, code.k)
+        assert [g.symplectic().tolist() for g in code.logical_gens] == [w.tolist() for w in want]
 
 
 def test_css_split():
@@ -305,12 +373,13 @@ def test_code_file_symplectic_format():
 
 def test_codetable_codes_parse():
     expect = {
-        "codetable_20_3_6": (20, 3),
-        "codetable_20_4_6": (20, 4),
-        "codetable_20_10_4": (20, 10),
-        "codetable_20_13_3": (20, 13),
+        "codetable_20_3_6": (20, 3, 6),
+        "codetable_20_4_6": (20, 4, 6),
+        "codetable_20_10_4": (20, 10, 4),
+        "codetable_20_13_3": (20, 13, 3),
     }
-    for name, (n, k) in expect.items():
+    for name, (n, k, d) in expect.items():
         code = code_mod.builtin(name)
         assert (code.p, code.n, code.k) == (2, n, k)
+        assert (code.name, code.distance) == (name, d)
         assert len(code.stabilizers) == n - k

@@ -17,6 +17,7 @@ from qtrellis.decode import (
     css_decode,
     decode,
     decode_syndromes,
+    logical_flags,
     measure_syndromes,
     pure_error,
     viterbi,
@@ -30,6 +31,7 @@ from qtrellis.pauli import (
     identity,
     mul,
     parse_pauli,
+    sym_inner,
     syndrome,
 )
 from qtrellis.sim import ChannelSpec, build_trellises
@@ -246,6 +248,23 @@ def test_classify_residual(five_one_three):
         "internal_inconsistency",
         "logical_failure",
     )
+
+
+def test_classify_residual_flags_at_p3():
+    """Flags are sym_inner(residual, g): the negated logical_flags, which differ at p = 3."""
+    code = code_mod.new_code(3, [parse_pauli(s, 3) for s in ("X0.Z1 X0.Z2 X0.Z0", "X0.Z0 X0.Z1 X0.Z2")])
+    zero = np.zeros(3, dtype=np.int64)
+    ones = np.ones(3, dtype=np.int64)
+    for err in (PauliString(3, ones, zero), PauliString(3, 2 * ones, zero), PauliString(3, ones, ones)):
+        for corr in (identity(3, 3), PauliString(3, zero, ones)):
+            cls, flags = classify_residual(code, err, corr)
+            residual = mul(err, corr)
+            want = tuple(sym_inner(residual, g) for g in code.logical_gens)
+            assert any(want) and cls == "logical_failure"
+            assert flags == want
+            assert np.array_equal(logical_flags(code, residual.x, residual.z), (-np.array(want)) % 3)
+    assert classify_residual(code, PauliString(3, [1, 0, 0], zero), identity(3, 3)) == ("internal_inconsistency", ())
+    assert classify_residual(code, PauliString(3, zero, ones), identity(3, 3)) == ("success", (0, 0))
 
 
 def test_decode_pipeline_classifies(five_one_three):

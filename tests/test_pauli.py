@@ -98,6 +98,26 @@ def test_prefix_and_partial_syndrome():
         assert np.array_equal(partial_syndrome(gens, P, i), syndrome(gens, prefix(P, i)))
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_partial_syndrome_matches_sym_inner_loop(p):
+    """The one-product partial syndrome against the per-generator reference, at every depth."""
+    n = 6
+    for trial in range(30):
+        gens = [random_pauli(p, n, 100 * trial + j) for j in range(trial % 5)]
+        P = random_pauli(p, n, 100 * trial + 99)
+        for i in range(n + 1):
+            want = np.array([sym_inner(g, prefix(P, i)) for g in gens], dtype=np.int64)
+            got = partial_syndrome(gens, P, i)
+            assert got.shape == (len(gens),)
+            assert np.array_equal(got, want)
+    assert partial_syndrome([], P, n).shape == (0,)
+    other = 3 if p == 5 else 5
+    with pytest.raises(ValueError):
+        partial_syndrome([random_pauli(other, n, 1)], P, n)
+    with pytest.raises(ValueError):
+        partial_syndrome([random_pauli(p, n + 1, 1)], P, n)
+
+
 def test_weight_and_site():
     P = parse_pauli("IXYZ")
     assert P.weight() == 3

@@ -141,11 +141,10 @@ def _visited_vertices(t: Trellis, P: PauliString) -> list[int]:
 
 def test_vertex_labels_are_partial_syndromes(t513, five_one_three, rng):
     """Every visited vertex carries the path's partial syndrome against the label checks."""
-    from qtrellis.code import _commutation_matrix
-    from qtrellis.pauli import partial_syndrome, sym_inner
+    from qtrellis.pauli import commutation_matrix, partial_syndrome, sym_inner
 
     gens = random_commuting_gens(rng, 5, 3, 3)
-    complement = [from_symplectic(v, 3) for v in ffield.kernel(_commutation_matrix(gens), 3)]
+    complement = [from_symplectic(v, 3) for v in ffield.kernel(commutation_matrix(gens), 3)]
     assert len(complement) == 2 * 5 - 3
     assert all(sym_inner(c, g) == 0 for c in complement for g in gens)
     cases = [(t513, list(five_one_three.stabilizers)), (build(gens), complement)]
