@@ -1,8 +1,9 @@
 """Command-line front end: profile, build, census, decode, simulate, fit.
 
 Exit codes: 0 success, 2 validation error (including an empty ``simulate``
-grid), 3 resource cap exceeded, 4 I/O or format error (including a ``fit``
-input without the results columns).
+grid), 3 resource cap exceeded, 4 I/O or format error (including a trellis
+of a group other than the code's, and a ``fit`` input without the results
+columns or with a malformed row).
 """
 from __future__ import annotations
 
@@ -246,12 +247,16 @@ def fit_cmd(in_file, dmin):
         if missing:
             _fail(4, f"{in_file}: missing results column(s) {', '.join(missing)}")
         for row in reader:
-            d = int(row["distance"])
-            pt = sim_mod.DataPoint(
-                float(row["p_phys"]), int(row["samples"]), int(row["failures"]),
-                float(row["rate_cond"]), float(row["rate_uncond"]),
-                float(row["ci_lo"]), float(row["ci_hi"]),
-            )
+            try:
+                d = int(row["distance"])
+                pt = sim_mod.DataPoint(
+                    float(row["p_phys"]), int(row["samples"]), int(row["failures"]),
+                    float(row["rate_cond"]), float(row["rate_uncond"]),
+                    float(row["ci_lo"]), float(row["ci_hi"]),
+                )
+            except (TypeError, ValueError):
+                # a short row leaves fields None, a non-number fails to parse
+                _fail(4, f"{in_file}: line {reader.line_num}: a results field is missing or not a number")
             datasets.setdefault(d, []).append(pt)
     fit = sim_mod.fit_threshold(datasets, dmin=dmin)
     click.echo(

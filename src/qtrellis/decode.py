@@ -203,13 +203,6 @@ def viterbi(t: Trellis, weights: WeightTable) -> tuple[PauliString, float]:
     return PauliString(t.p, xs[0], zs[0]), float(total[0])
 
 
-def _check_system(code: StabilizerCode, t: Trellis, sites: int, weights: WeightTable) -> None:
-    if t.n != sites or t.p != code.p:
-        raise TrellisError("trellis acts on a different system")
-    if weights.n != code.n or weights.p != code.p:
-        raise DecodeError("weight table does not match the code")
-
-
 def _decode_part(
     code: StabilizerCode, t: Trellis, weights: WeightTable, S: np.ndarray, T: np.ndarray, cols
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,7 +212,6 @@ def _decode_part(
     reach; the others stay zero.  A batch whose syndromes are all zero
     decodes the zero syndrome once and broadcasts it.
     """
-    _check_system(code, t, code.n, weights)
     n, count = code.n, S.shape[0]
     if not S.any():
         S = S[:1]
@@ -250,7 +242,6 @@ def _block_decode(
     n, count = code.n, S.shape[0]
     if n != 49 or code.p != 2:
         raise DecodeError("block decoding expects the level-2 Steane code")
-    _check_system(code, inner, 7, weights)
     x_rows = code.css_rows[0]
     shift = (S[:, x_rows] @ T[x_rows, n:] % 2).reshape(count, 7, 7)
     zero = np.zeros((count, 7), dtype=np.int64)
@@ -297,6 +288,36 @@ def logical_flags(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndar
     return (x @ L[:, :n].T + z @ L[:, n:].T) % code.p
 
 
+def _check_trellises(
+    code: StabilizerCode, trellises: dict[str, Trellis], mode: str, weights: dict[str, WeightTable]
+) -> None:
+    """Refuse the trellises or weight tables of another system or group.
+
+    Every trellis must act on the code's p and n sites (7 for ``block``).
+    A ``full`` trellis must span the normalizer, of dimension 2n - m, and a
+    ``css`` part the strings with zero syndrome against its checks, of
+    dimension n minus their count.  Stored vertex labels must be the
+    partial syndromes against exactly those checks; a trellis without
+    labels gets the dimension check only, and ``block`` gets neither.
+    """
+    n, p, C = code.n, code.p, code.check_matrix
+    rows = dict(zip("xz", code.css_rows)) if mode == "css" else {"full": slice(None)}
+    for key in _MODE_AXES[mode]:
+        t, w = trellises[key], weights[key]
+        if t.n != (7 if mode == "block" else n) or t.p != p:
+            raise TrellisError("trellis acts on a different system")
+        if w.n != n or w.p != p:
+            raise DecodeError("weight table does not match the code")
+        if mode == "block":
+            continue
+        checks = C[rows[key]]
+        dim = (2 * n if mode == "full" else n) - checks.shape[0]
+        if t.profile.dim != dim:
+            raise TrellisError(f"trellis {key!r} spans dimension {t.profile.dim}, the code's group {dim}")
+        if t.label_matrix is not None and not np.array_equal(t.label_matrix, checks.T):
+            raise TrellisError(f"trellis {key!r} is labelled by checks other than the code's")
+
+
 # entries in one (rows, section edges) temporary of the kernel: 512 KB at
 # 8 B, so a section's few live temporaries stay inside a 2 MB L2 cache
 _EDGE_BUDGET = 2**16
@@ -324,13 +345,16 @@ def decode_syndromes(
     ``"block"`` (level-2 Steane on the 7-qubit X-check trellis ``"inner"``).
     ``weights`` holds one WeightTable per key (see :func:`mode_weights`).
     Returns the x and z exponents of the corrections, each (count, n), and
-    their weights.  Rows are decoded in chunks sized so that no kernel
-    temporary exceeds ``_EDGE_BUDGET`` entries, unless one row alone does;
-    each row's result does not depend on the chunk it falls in.
+    their weights.  Trellises of another system or group raise
+    TrellisError (see :func:`_check_trellises`).  Rows are decoded in
+    chunks sized so that no kernel temporary exceeds ``_EDGE_BUDGET``
+    entries, unless one row alone does; each row's result does not depend
+    on the chunk it falls in.
     """
     if mode not in _MODE_AXES:
         raise DecodeError(f"unknown decoder mode {mode!r}")
     S = _syndrome_rows(code, S)
+    _check_trellises(code, trellises, mode, weights)
     widest = max(sec.size for key in _MODE_AXES[mode] for sec in trellises[key].sections)
     step = _chunk_rows(widest)
     if S.shape[0] <= step:

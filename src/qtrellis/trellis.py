@@ -59,13 +59,7 @@ class TrellisLayer:
         """All vertex labels in index order, shape (size, label_width)."""
         if self.basis is None:
             raise TrellisError("vertex labels were dropped")
-        r, m = self.basis.shape
-        idx = np.arange(self.size, dtype=np.int64)
-        digits = np.zeros((self.size, r), dtype=np.int64)
-        for j in range(r - 1, -1, -1):
-            digits[:, j] = idx % self.p
-            idx //= self.p
-        out = digits @ self.basis % self.p
+        out = _span(self.basis, self.p)
         if self.offset is not None:
             out = (out + self.offset) % self.p
         return out
@@ -147,6 +141,17 @@ class SectionCensus:
     expansions: int
 
 
+def _span(rows: np.ndarray, p: int) -> np.ndarray:
+    """Every combination of ``rows`` mod p in their dtype, first row most significant.
+
+    Rows in reduced row-echelon form give their span in lexicographic order.
+    """
+    out = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows:
+        out = (out[:, None, :] + np.arange(p, dtype=rows.dtype)[:, None] * row).reshape(-1, rows.shape[1]) % p
+    return out
+
+
 def _mixed_radix(digits: np.ndarray, p: int) -> np.ndarray:
     """Collapse base-p digit rows (most significant first) to indices."""
     idx = np.zeros(digits.shape[0], dtype=np.int64)
@@ -211,9 +216,13 @@ def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
     ``source`` may be a StabilizerCode (trellis of its normalizer), a
     CssPart, a TofGenerators, or a list of Pauli strings.  Refuses with
     CapacityError when the profile predicts more than ``max_edges`` edges.
-    Layer i is spanned by the labels of the TOF generators alive across
-    cut i, section i by those active at site i: a generator that has ended
-    has zero partial syndrome and one not yet started has a zero prefix.
+
+    Section i spans the TOF generators active at site i in columns
+    ``[target label | source label | site-i exponents]``.  One echelon form
+    of it gives layer i: its rows with a pivot in the target block, since a
+    generator ending at site i has a zero label at depth i.  Listed in
+    echelon order, its span is the edge list sorted by (target, source,
+    label), since a vertex's index is the rank of its label.
     """
     tof, L, prof = _resolve(source, order)
     p, n = tof.p, tof.n
@@ -226,36 +235,25 @@ def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
     left, right = np.array(tof.left), np.array(tof.right)
     m = L.shape[1]
 
-    layers = []
-    for i in range(n + 1):
-        red, pivots, rk = ffield.rref(syn[(left <= i) & (i < right), i], p)
-        if p**rk != prof.v_count[i]:
-            raise TrellisError(f"layer {i} label count {p**rk} != profile")
-        layers.append(
-            TrellisLayer(p, p**rk, red[:rk], tuple(pivots), np.zeros(m, dtype=np.int64))
-        )
-
+    layers = [TrellisLayer(p, 1, np.zeros((0, m), dtype=np.int64), (), np.zeros(m, dtype=np.int64))]
     sections = []
     for i in range(1, n + 1):
         act = (left <= i) & (i <= right)
-        A = np.hstack([syn[act, i - 1], G[act][:, [i - 1, n + i - 1]], syn[act, i]])
+        A = np.hstack([syn[act, i], syn[act, i - 1], G[act][:, [i - 1, n + i - 1]]])
         red, pivots, rk = ffield.rref(A, p)
         if p**rk != prof.e_count[i - 1]:
             raise TrellisError(f"section {i} edge count {p**rk} != profile")
-        basis = red[:rk].astype(np.int16)
-        w = 2 * m + 2
-        arr = np.zeros((1, w), dtype=np.int16)
-        for row in basis:
-            arr = (
-                arr[:, None, :] + np.arange(p, dtype=np.int16)[None, :, None] * row
-            ).reshape(-1, w) % p
-        src = _mixed_radix(arr[:, list(layers[i - 1].pivots)].astype(np.int64), p)
-        tgt = _mixed_radix(arr[:, [m + 2 + c for c in layers[i].pivots]].astype(np.int64), p)
-        lab = arr[:, m : m + 2].astype(np.int64)
-        order_idx = np.lexsort((lab[:, 0] * p + lab[:, 1], src, tgt))
-        sections.append(
-            TrellisSection(p, src[order_idx], tgt[order_idx], lab[order_idx])
-        )
+        r = int(np.searchsorted(pivots, m))
+        if p**r != prof.v_count[i]:
+            raise TrellisError(f"layer {i} label count {p**r} != profile")
+        # only the source pivots and the exponents are enumerated: each
+        # target holds a run of p**(rk - r) consecutive edges
+        cols = [m + c for c in layers[-1].pivots] + [2 * m, 2 * m + 1]
+        arr = _span(red[:rk, cols].astype(np.int16), p)
+        tgt = np.arange(p**rk) // p ** (rk - r)
+        sections.append(TrellisSection(p, _mixed_radix(arr[:, :-2], p), tgt, arr[:, -2:].astype(np.int64)))
+        basis = red[:r, :m].copy()
+        layers.append(TrellisLayer(p, p**r, basis, tuple(pivots[:r]), np.zeros(m, dtype=np.int64)))
     return Trellis(p, n, tuple(layers), tuple(sections), prof, L)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from qtrellis import code as code_mod
 from qtrellis import ffield
-from qtrellis.pauli import PauliString, from_symplectic, mul
+from qtrellis.pauli import PauliString, from_symplectic, mul, symplectic_matrix
 
 
 def group_elements(gens: list[PauliString]) -> set[PauliString]:
@@ -104,6 +104,46 @@ def reference_viterbi(t, wtab, shift_x, shift_z):
         zs[:, i] = (sec.label[eidx, 1] + shift_z[:, i]) % p
         cur = sec.source[eidx]
     return xs, zs, total
+
+
+def reference_build(source):
+    """Layers and sections by the sorting build that one echelon per section replaced.
+
+    A test oracle only.  Layer i is the RREF of the partial syndromes of
+    the TOF generators alive across cut i.  Section i enumerates the span of
+    its active generators in columns ``[source label | exponents | target
+    label]``, reads both vertex indices off the layer pivots, and sorts the
+    edges by (target, source, label).  Returns ``[(basis, pivots)]`` per
+    layer and ``[(source, target, label)]`` per section.
+    """
+    from qtrellis.trellis import _partial_syndromes, _resolve
+
+    tof, L, _ = _resolve(source, None)
+    p, n, m = tof.p, tof.n, L.shape[1]
+    G = symplectic_matrix(list(tof.gens))
+    syn = _partial_syndromes(G, L, p)
+    left, right = np.array(tof.left), np.array(tof.right)
+    layers = []
+    for i in range(n + 1):
+        red, pivots, rk = ffield.rref(syn[(left <= i) & (i < right), i], p)
+        layers.append((red[:rk], tuple(pivots)))
+
+    def index(labels, pivots):
+        idx = np.zeros(labels.shape[0], dtype=np.int64)
+        for c in pivots:
+            idx = idx * p + labels[:, c]
+        return idx
+
+    sections = []
+    for i in range(1, n + 1):
+        act = (left <= i) & (i <= right)
+        red, _, rk = ffield.rref(np.hstack([syn[act, i - 1], G[act][:, [i - 1, n + i - 1]], syn[act, i]]), p)
+        span = np.array(list(itertools.product(range(p), repeat=rk)), dtype=np.int64) @ red[:rk] % p
+        src, tgt = index(span[:, :m], layers[i - 1][1]), index(span[:, m + 2 :], layers[i][1])
+        lab = span[:, m : m + 2]
+        order = np.lexsort((lab[:, 0] * p + lab[:, 1], src, tgt))
+        sections.append((src[order], tgt[order], lab[order]))
+    return layers, sections
 
 
 def reference_greedy_numbering(code) -> list[int]:

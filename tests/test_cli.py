@@ -102,12 +102,42 @@ def test_simulate_rejects_an_empty_grid(runner, tmp_path, p_min, p_max, p_step):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("build_args", [["--split", "x"], ["--order", "ORDER"]])
+def test_decode_rejects_a_trellis_of_another_group(runner, tmp_path, build_args):
+    """Decoding Steane on its X-check part or on a renumbered trellis is a format error."""
+    order = tmp_path / "order.txt"
+    order.write_text("7 6 5 4 3 2 1\n")
+    out = tmp_path / "other.trellis"
+    args = [str(order) if a == "ORDER" else a for a in build_args]
+    assert runner.invoke(main, ["build", "--code", "steane", "--out", str(out), *args]).exit_code == 0
+    result = runner.invoke(
+        main,
+        [
+            "decode", "--trellis", str(out), "--code", "steane",
+            "--syndrome", "0,0,1,0,0,0", "--channel", "depolarizing:0.1",
+        ],
+    )
+    assert result.exit_code == 4
+    assert "error: trellis 'full'" in result.output
+
+
 def test_fit_rejects_a_csv_without_results_columns(runner, tmp_path):
     path = tmp_path / "two.csv"
     path.write_text("p_phys,failures\n0.1,3\n")
     result = runner.invoke(main, ["fit", "--in", str(path)])
     assert result.exit_code == 4
     assert "missing results column(s) distance" in result.output
+
+
+@pytest.mark.parametrize("row", ["3,0.1,10", "3,0.1,10,abc,0.1,0.1,0.0,0.2"])
+def test_fit_rejects_a_malformed_results_row(runner, tmp_path, row):
+    """A short row or a non-numeric field is a format error that names its line."""
+    path = tmp_path / "bad.csv"
+    header = "distance,p_phys,samples,failures,rate_cond,rate_uncond,ci_lo,ci_hi"
+    path.write_text(f"{header}\n3,0.1,10,1,0.1,0.1,0.0,0.4\n{row}\n")
+    result = runner.invoke(main, ["fit", "--in", str(path)])
+    assert result.exit_code == 4
+    assert "line 3" in result.output
 
 
 def test_exit_code_validation_error(runner):

@@ -109,7 +109,11 @@ def test_pure_error_reproduces_syndrome(five_one_three, rng):
 
 
 def test_trellis_of_another_system_rejected(five_one_three, steane):
-    """A trellis whose n or p differs from the code's is a TrellisError, in every mode."""
+    """A trellis of another system or group is a TrellisError, in every mode.
+
+    Besides n and p, a ``full`` or ``css`` trellis must span the code's
+    group (its dimension) and carry the code's checks as its labels.
+    """
     s = np.zeros(6, dtype=np.int64)
     weights = weights_from_channel(ChannelSpec("depolarizing", 0.1), 7)
     with pytest.raises(TrellisError):
@@ -124,6 +128,23 @@ def test_trellis_of_another_system_rejected(five_one_three, steane):
     z_weights = weights_from_channel(ChannelSpec("dephasing_z", 0.1), 49, css_axis="X")
     with pytest.raises(TrellisError):
         block_decode(level2, surface["x"], np.zeros(48, dtype=np.int64), z_weights)
+    x_part, z_part = css_split(steane)
+    other_groups = (
+        build(x_part),  # the X-check part: dimension n - 3, not 2n - m
+        build(steane, order=list(range(7, 0, -1))),  # same dimension, other checks
+    )
+    for t in other_groups:
+        with pytest.raises(TrellisError):
+            decode(steane, t, s, weights)
+    # the stabilizer group alone decodes to heavier-than-minimum corrections
+    bare = build(list(five_one_three.stabilizers))
+    weights5 = weights_from_channel(ChannelSpec("depolarizing", 0.1), 5)
+    with pytest.raises(TrellisError):
+        decode(five_one_three, bare, np.zeros(4, dtype=np.int64), weights5)
+    # both parts have dimension 4; only their labels tell them apart
+    with pytest.raises(TrellisError):
+        css_decode(steane, build(z_part), build(x_part), s, ChannelSpec("depolarizing", 0.1))
+    assert css_decode(steane, build(x_part), build(z_part), s, ChannelSpec("depolarizing", 0.1))
 
 
 # ---------------------------------------------------------------------------

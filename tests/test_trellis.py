@@ -31,7 +31,7 @@ from qtrellis.trellis import (
     validate,
 )
 
-from conftest import group_elements, random_commuting_gens
+from conftest import group_elements, random_commuting_gens, reference_build
 
 
 def trivial_trellis(p: int, n: int) -> Trellis:
@@ -109,6 +109,48 @@ def test_build_depends_only_on_the_group(rng):
         base = serialize(build(part))
         for _ in range(3):
             assert serialize(build(replace(part, gens=tuple(resample(part.gens, 2))))) == base
+
+
+def _random_css_code(rng, p: int, n: int, rx: int, rz: int):
+    """A random qudit CSS code: X checks from random rows, Z checks from their kernel."""
+    while True:
+        hx = rng.integers(0, p, size=(rx, n))
+        ker = ffield.kernel(hx, p)
+        hz = rng.integers(0, p, size=(rz, ker.shape[0])) @ ker % p
+        weights = np.count_nonzero(np.vstack([hx, hz]), axis=1)
+        if ffield.rank(hx, p) == rx and ffield.rank(hz, p) == rz and weights.min() >= 2:
+            break
+    zero = np.zeros(n, dtype=np.int64)
+    checks = [PauliString(p, row, zero) for row in hx] + [PauliString(p, zero, row) for row in hz]
+    return code_mod.new_code(p, checks)
+
+
+def test_build_matches_the_sorting_reference():
+    """Layers and sorted edges equal those of per-layer RREFs plus a lexsort, for p = 3, 5, 7.
+
+    The golden digests cover qubit built-ins only.
+    """
+    local = np.random.default_rng(31)
+    sources = []
+    for p, n in ((3, 6), (5, 5), (7, 4)):
+        for m in range(1, n):
+            gens = random_commuting_gens(local, n, m, p)
+            sources.append(gens)
+            # a code needs stabilizers of weight >= 2
+            if min(np.count_nonzero(g.x | g.z) for g in gens) >= 2:
+                sources.append(code_mod.new_code(p, gens))
+        sources += css_split(_random_css_code(local, p, n, 1, 2))
+    assert len(sources) >= 24
+    for source in sources:
+        t = build(source)
+        layers, sections = reference_build(source)
+        assert len(t.layers) == len(layers) and len(t.sections) == len(sections)
+        for layer, (basis, pivots) in zip(t.layers, layers):
+            assert np.array_equal(layer.basis, basis) and layer.pivots == pivots
+        for sec, (src, tgt, lab) in zip(t.sections, sections):
+            assert np.array_equal(sec.source, src)
+            assert np.array_equal(sec.target, tgt)
+            assert np.array_equal(sec.label, lab)
 
 
 def test_path_bijection(t513, five_one_three):
