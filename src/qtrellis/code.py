@@ -193,9 +193,10 @@ class StabilizerCode:
 
         From one RREF of ``[C | I_m]``; ``C`` has full row rank (``new_code``
         checks it), so each row holds a pivot of ``C`` and its ``I_m`` part
-        gives that pivot's entry; free columns stay zero, as in
-        ``ffield.solve``.  For a CSS code ``T`` is block-diagonal: X-check
-        rows reach only the z half, Z-check rows only the x half.
+        gives that pivot's entry; free columns stay zero.  Row ``s @ T`` is
+        thus the solution of ``C x = s`` read off the RREF of ``[C | s]``.
+        For a CSS code ``T`` is block-diagonal: X-check rows reach only the
+        z half, Z-check rows only the x half.
         """
         C = self.check_matrix
         m, width = C.shape

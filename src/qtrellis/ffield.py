@@ -94,18 +94,21 @@ def kernel(m: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
-def solve(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """Return one solution ``x`` of ``m x = b`` over F_p, or None if inconsistent."""
-    mat = np.asarray(m, dtype=np.int64) % p
-    vec = np.asarray(b, dtype=np.int64) % p
-    rows, cols = mat.shape
-    if vec.shape != (rows,):
-        raise ValueError("right-hand side length must equal the row count")
-    aug = np.hstack([mat, vec.reshape(-1, 1)])
-    red, pivots, rk = rref(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = red[r, cols]
-    return x
+def span(rows: np.ndarray, p: int) -> np.ndarray:
+    """Every combination of ``rows`` mod p in their dtype, first row most significant.
+
+    Rows in reduced row-echelon form give their span in lexicographic order,
+    so a vector's index in it is ``mixed_radix`` of its pivot digits.
+    """
+    out = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows:
+        out = (out[:, None, :] + np.arange(p, dtype=rows.dtype)[:, None] * row).reshape(-1, rows.shape[1]) % p
+    return out
+
+
+def mixed_radix(digits: np.ndarray, p: int) -> np.ndarray:
+    """Collapse base-p digit rows (most significant first) to indices."""
+    idx = np.zeros(digits.shape[0], dtype=np.int64)
+    for j in range(digits.shape[1]):
+        idx = idx * p + digits[:, j]
+    return idx

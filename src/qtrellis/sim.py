@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ffield
 from .pauli import PauliString
 from .code import StabilizerCode, css_split
 from .trellis import Trellis, CapacityError, build
@@ -19,6 +20,8 @@ _WILSON_Z = 1.959963984540054  # 95%
 # error patterns enumerated at once by exact_rate: a (chunk, 2n) int64
 # digit temporary is 21 MB at n = 20
 _PATTERN_CHUNK = 1 << 16
+# sampled errors decoded at once by run_montecarlo
+_DECODE_BATCH = 4096
 
 
 class SimError(RuntimeError):
@@ -115,6 +118,15 @@ def sample_error(
             return err
 
 
+def _channel_axes(kind: str, pat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) exponents of enumerated patterns: their digits on the channel's axes."""
+    if kind == "dephasing_z":
+        return np.zeros_like(pat), pat
+    if kind == "dephasing_x":
+        return pat, np.zeros_like(pat)
+    return pat[:, :n], pat[:, n:]
+
+
 def exact_rate(
     code: StabilizerCode,
     channel: ChannelSpec,
@@ -127,12 +139,16 @@ def exact_rate(
 
     Single-axis channels enumerate p^n patterns (cap n such that
     p^n <= 2^26); general channels enumerate p^(2n) (cap 2^20 patterns).
-    Every distinct syndrome is decoded once.  The failing patterns are
-    counted exactly per Hamming weight w, and the rate is
-    ``sum_w count[w] * (1 - r)**(n - w) * site**w``, so it does not depend
-    on how the patterns are chunked.  ``"block"`` always exceeds
-    the cap, since it decodes level-2 Steane (2^49 single-axis patterns),
-    and raises CapacityError; the exhaustive check of its radius is
+    A syndrome is linear in the pattern, so the channel's syndromes are the
+    span of its unit patterns' syndromes.  One RREF of those lists that
+    span in echelon order, and each syndrome in it is decoded once.  One
+    pass over the patterns then finds each pattern's row from its
+    syndrome's pivot digits, the rank of a vector in an echelon span.  The
+    failing patterns are counted exactly per Hamming weight w, and the rate
+    is ``sum_w count[w] * (1 - r)**(n - w) * site**w``, so it does not
+    depend on how the patterns are chunked.  ``"block"`` always exceeds the
+    cap, since it decodes level-2 Steane (2^49 single-axis patterns), and
+    raises CapacityError; the exhaustive check of its radius is
     ``test_block_decode_low_weight_z_errors``.
     """
     n, p = code.n, code.p
@@ -146,40 +162,24 @@ def exact_rate(
         bits = 2 * n
     if trellises is None:
         trellises = build_trellises(code, decoder, max_edges=max_edges)
-    r = channel.p_phys
+    digit = np.min_scalar_type(p - 1)
+    unit = _channel_axes(channel.kind, np.eye(bits, dtype=digit), n)
+    red, pivots, rk = ffield.rref(measure_syndromes(code, decoder, *unit), p)
+    weights = mode_weights(code, decoder, channel)
+    corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, ffield.span(red[:rk], p))
+    corr_flags = logical_flags(code, corr_x, corr_z)
+    # count the failing patterns of each Hamming weight exactly
     total = p**bits
     powers = p ** np.arange(bits, dtype=np.int64)
-    m = len(code.stabilizers)
-    radix = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
-
-    def patterns():
-        for lo in range(0, total, _PATTERN_CHUNK):
-            idx = np.arange(lo, min(lo + _PATTERN_CHUNK, total), dtype=np.int64)
-            pat = ((idx[:, None] // powers) % p).astype(np.min_scalar_type(p - 1))
-            if channel.kind == "dephasing_z":
-                yield np.zeros_like(pat), pat
-            elif channel.kind == "dephasing_x":
-                yield pat, np.zeros_like(pat)
-            else:
-                yield pat[:, :n], pat[:, n:]
-
-    # pass 1: the set of syndromes the channel can actually produce
-    seen: set[int] = set()
-    for err_x, err_z in patterns():
-        seen.update(np.unique(measure_syndromes(code, decoder, err_x, err_z) @ radix).tolist())
-    unique = np.array(sorted(seen), dtype=np.int64)
-    s_digits = (unique[:, None] // radix) % p
-    # decode every distinct syndrome once
-    weights = mode_weights(code, decoder, channel)
-    corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, s_digits)
-    corr_flags = logical_flags(code, corr_x, corr_z)
-    # pass 2: count the failing patterns of each Hamming weight exactly
     fails = np.zeros(n + 1, dtype=np.int64)
-    for err_x, err_z in patterns():
-        rows = np.searchsorted(unique, measure_syndromes(code, decoder, err_x, err_z) @ radix)
+    for lo in range(0, total, _PATTERN_CHUNK):
+        idx = np.arange(lo, min(lo + _PATTERN_CHUNK, total), dtype=np.int64)
+        err_x, err_z = _channel_axes(channel.kind, ((idx[:, None] // powers) % p).astype(digit), n)
+        rows = ffield.mixed_radix(measure_syndromes(code, decoder, err_x, err_z)[:, pivots], p)
         fail = ((logical_flags(code, err_x, err_z) + corr_flags[rows]) % p).any(axis=1)
         weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
         fails += np.bincount(weight[fail], minlength=n + 1)
+    r = channel.p_phys
     site = r / (p - 1) if channel.single_axis else r / (p * p - 1)
     return sum(int(c) * (1.0 - r) ** (n - w) * site**w for w, c in enumerate(fails))
 
@@ -212,15 +212,15 @@ def run_montecarlo(
     samples: int,
     seed: int,
     decoder: str = "full",
-    batch: int = 4096,
 ) -> list[DataPoint]:
     """Estimate conditional and unconditional logical failure rates.
 
     For each grid point, ``samples`` errors are drawn conditioned on being
     non-identity; failures are counted after decoding and classification.
     The generator stream depends only on (seed, point index), making the
-    output invariant to the batch size.  Each batch is decoded from the
-    syndromes of its errors alone.
+    output invariant to ``_DECODE_BATCH``, the number of errors decoded at
+    once.  Each batch is decoded from the syndromes of its errors alone;
+    ``exact_rate`` instead decodes the whole syndrome span once.
     """
     if samples <= 0:
         raise SimError("sample count must be positive")
@@ -246,8 +246,8 @@ def run_montecarlo(
             collected += take
         weights = mode_weights(code, decoder, channel)
         failures = 0
-        for lo in range(0, samples, batch):
-            hi = min(lo + batch, samples)
+        for lo in range(0, samples, _DECODE_BATCH):
+            hi = min(lo + _DECODE_BATCH, samples)
             S = measure_syndromes(code, decoder, err_x[lo:hi], err_z[lo:hi])
             corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, S)
             # the decode fails when error times correction acts logically

@@ -59,7 +59,7 @@ class TrellisLayer:
         """All vertex labels in index order, shape (size, label_width)."""
         if self.basis is None:
             raise TrellisError("vertex labels were dropped")
-        out = _span(self.basis, self.p)
+        out = ffield.span(self.basis, self.p)
         if self.offset is not None:
             out = (out + self.offset) % self.p
         return out
@@ -139,25 +139,6 @@ class SectionCensus:
     counts: dict[tuple[int, int, int], int]
     mergers: int
     expansions: int
-
-
-def _span(rows: np.ndarray, p: int) -> np.ndarray:
-    """Every combination of ``rows`` mod p in their dtype, first row most significant.
-
-    Rows in reduced row-echelon form give their span in lexicographic order.
-    """
-    out = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows:
-        out = (out[:, None, :] + np.arange(p, dtype=rows.dtype)[:, None] * row).reshape(-1, rows.shape[1]) % p
-    return out
-
-
-def _mixed_radix(digits: np.ndarray, p: int) -> np.ndarray:
-    """Collapse base-p digit rows (most significant first) to indices."""
-    idx = np.zeros(digits.shape[0], dtype=np.int64)
-    for j in range(digits.shape[1]):
-        idx = idx * p + digits[:, j]
-    return idx
 
 
 def _partial_syndromes(sym: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
@@ -249,9 +230,9 @@ def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
         # only the source pivots and the exponents are enumerated: each
         # target holds a run of p**(rk - r) consecutive edges
         cols = [m + c for c in layers[-1].pivots] + [2 * m, 2 * m + 1]
-        arr = _span(red[:rk, cols].astype(np.int16), p)
+        arr = ffield.span(red[:rk, cols].astype(np.int16), p)
         tgt = np.arange(p**rk) // p ** (rk - r)
-        sections.append(TrellisSection(p, _mixed_radix(arr[:, :-2], p), tgt, arr[:, -2:].astype(np.int64)))
+        sections.append(TrellisSection(p, ffield.mixed_radix(arr[:, :-2], p), tgt, arr[:, -2:].astype(np.int64)))
         basis = red[:r, :m].copy()
         layers.append(TrellisLayer(p, p**r, basis, tuple(pivots[:r]), np.zeros(m, dtype=np.int64)))
     return Trellis(p, n, tuple(layers), tuple(sections), prof, L)

@@ -29,6 +29,26 @@ def in_row_span(m: np.ndarray, v: np.ndarray, p: int) -> bool:
     return ffield.rank(stacked, p) == ffield.rank(m, p)
 
 
+def solve(m: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
+    """One solution ``x`` of ``m x = b`` over F_p, or None if inconsistent.
+
+    A test oracle only: the pivot entries of the RREF of ``[m | b]``, free
+    columns zero.  ``StabilizerCode.pure_error_map`` must reproduce it.
+    """
+    mat = np.asarray(m, dtype=np.int64) % p
+    vec = np.asarray(b, dtype=np.int64) % p
+    rows, cols = mat.shape
+    if vec.shape != (rows,):
+        raise ValueError("right-hand side length must equal the row count")
+    red, pivots, _ = ffield.rref(np.hstack([mat, vec.reshape(-1, 1)]), p)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for r, c in enumerate(pivots):
+        x[c] = red[r, cols]
+    return x
+
+
 def coset_min_weight(
     elements: set[PauliString], T: PauliString, table: np.ndarray
 ) -> float:
@@ -69,6 +89,20 @@ def random_commuting_gens(
         rows.append(vec)
         gens.append(cand)
     return gens
+
+
+def random_css_code(rng, p: int, n: int, rx: int, rz: int):
+    """A random qudit CSS code: X checks from random rows, Z checks from their kernel."""
+    while True:
+        hx = rng.integers(0, p, size=(rx, n))
+        ker = ffield.kernel(hx, p)
+        hz = rng.integers(0, p, size=(rz, ker.shape[0])) @ ker % p
+        weights = np.count_nonzero(np.vstack([hx, hz]), axis=1)
+        if ffield.rank(hx, p) == rx and ffield.rank(hz, p) == rz and weights.min() >= 2:
+            break
+    zero = np.zeros(n, dtype=np.int64)
+    checks = [PauliString(p, row, zero) for row in hx] + [PauliString(p, zero, row) for row in hz]
+    return code_mod.new_code(p, checks)
 
 
 def reference_viterbi(t, wtab, shift_x, shift_z):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import importlib
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from qtrellis import code as code_mod
 from qtrellis import sim as sim_mod
 from qtrellis.code import profile
-from qtrellis.decode import decode_syndromes, measure_syndromes, mode_weights
+from qtrellis.decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights
 from qtrellis.sim import (
     ChannelSpec,
     DataPoint,
@@ -21,6 +23,8 @@ from qtrellis.sim import (
     run_montecarlo,
     sample_error,
 )
+
+from conftest import random_commuting_gens, random_css_code
 
 # the package exports the function ``decode``, which shadows the module
 decode_mod = importlib.import_module("qtrellis.decode")
@@ -98,6 +102,68 @@ def test_exact_rate_does_not_depend_on_chunking(monkeypatch):
         monkeypatch.setattr(sim_mod, "_PATTERN_CHUNK", chunk)
         assert exact_rate(code, channel, "css", trellises=trellises) == default
         monkeypatch.undo()
+
+
+# float.hex of exact_rate, pinned so that a change in tie order shows
+_GOLDEN_RATES = {
+    ("five_one_three", None, "full", "depolarizing", 0.03): "0x1.13b823048269ep-7",
+    ("five_one_three", None, "full", "depolarizing", 0.1): "0x1.45aa5600fd364p-4",
+    ("steane", None, "full", "depolarizing", 0.03): "0x1.b26c9ea8443e6p-7",
+    ("steane", None, "full", "depolarizing", 0.1): "0x1.d8c4c1794d1ddp-4",
+    ("rotated_surface", 3, "full", "depolarizing", 0.03): "0x1.85edd195c89d0p-7",
+    ("rotated_surface", 3, "full", "depolarizing", 0.1): "0x1.bf425c28a78e6p-4",
+    ("steane", None, "css", "dephasing_z", 0.03): "0x1.0cfe7e4d61119p-6",
+    ("steane", None, "css", "dephasing_z", 0.075): "0x1.5361e576e7bdfp-4",
+    ("rotated_surface", 3, "css", "dephasing_z", 0.03): "0x1.d78774ad5366bp-7",
+    ("rotated_surface", 3, "css", "dephasing_z", 0.075): "0x1.326c11fadab86p-4",
+    ("color_666", 5, "css", "dephasing_z", 0.045): "0x1.327eaa9661b7ep-6",
+}
+
+
+@pytest.mark.parametrize("name,d,decoder,kind,p_phys", sorted(_GOLDEN_RATES, key=str))
+def test_exact_rate_matches_golden_values(name, d, decoder, kind, p_phys):
+    code = code_mod.builtin(name, d)
+    rate = exact_rate(code, ChannelSpec(kind, p_phys), decoder)
+    assert rate.hex() == _GOLDEN_RATES[name, d, decoder, kind, p_phys]
+
+
+def _brute_force_rate(code, decoder, channel) -> float:
+    """Sum of the probabilities of the failing patterns, each syndrome decoded."""
+    n, p = code.n, code.p
+    flat = np.array(list(itertools.product(range(p * p), repeat=n)), dtype=np.int64)
+    prob = channel.site_probs(p).ravel()[flat].prod(axis=1)
+    keep = prob > 0
+    flat, prob = flat[keep], prob[keep]
+    err_x, err_z = flat // p, flat % p
+    trellises = build_trellises(code, decoder)
+    S = measure_syndromes(code, decoder, err_x, err_z)
+    corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, mode_weights(code, decoder, channel), S)
+    fail = logical_flags(code, err_x + corr_x, err_z + corr_z).any(axis=1)
+    return math.fsum(prob[fail])
+
+
+def _random_code(rng, n, m, p):
+    while True:
+        gens = random_commuting_gens(rng, n, m, p)
+        # a code needs stabilizers of weight >= 2
+        if min(np.count_nonzero(g.x | g.z) for g in gens) >= 2:
+            return code_mod.new_code(p, gens)
+
+
+def test_exact_rate_of_qudit_codes_matches_brute_force():
+    """Random p = 3 and p = 5 codes: the weight counts equal a per-pattern sum."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for p, n, m in ((3, 4, 2), (3, 4, 1), (5, 3, 1), (5, 3, 2)):
+        code = _random_code(rng, n, m, p)
+        cases += [(code, "full", kind) for kind in ("depolarizing", "dephasing_z")]
+    css = random_css_code(rng, 3, 5, 1, 2)
+    cases += [(css, "css", kind) for kind in ("dephasing_z", "dephasing_x", "depolarizing")]
+    for code, decoder, kind in cases:
+        channel = ChannelSpec(kind, 0.1)
+        exact = exact_rate(code, channel, decoder)
+        assert exact > 0
+        assert math.isclose(exact, _brute_force_rate(code, decoder, channel), rel_tol=1e-12)
 
 
 def test_css_decoder_with_one_kind_of_check():
@@ -193,15 +259,15 @@ def test_decode_chunk_fits_the_budget():
             assert rows * widest <= decode_mod._EDGE_BUDGET
 
 
-def test_montecarlo_reproducible_and_batch_invariant():
+def test_montecarlo_reproducible_and_batch_invariant(monkeypatch):
     code = code_mod.builtin("rotated_surface", 3)
     trellises = build_trellises(code, "css")
     grid = np.array([0.08, 0.10])
     a = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
     b = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
-    c = run_montecarlo(
-        code, trellises, "dephasing_z", grid, 40000, 11, decoder="css", batch=977
-    )
+    with monkeypatch.context() as patch:
+        patch.setattr(sim_mod, "_DECODE_BATCH", 977)
+        c = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
     assert a == b == c
     d = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 12, decoder="css")
     assert a != d

@@ -31,7 +31,7 @@ from qtrellis.trellis import (
     validate,
 )
 
-from conftest import group_elements, random_commuting_gens, reference_build
+from conftest import group_elements, random_commuting_gens, random_css_code, reference_build
 
 
 def trivial_trellis(p: int, n: int) -> Trellis:
@@ -111,20 +111,6 @@ def test_build_depends_only_on_the_group(rng):
             assert serialize(build(replace(part, gens=tuple(resample(part.gens, 2))))) == base
 
 
-def _random_css_code(rng, p: int, n: int, rx: int, rz: int):
-    """A random qudit CSS code: X checks from random rows, Z checks from their kernel."""
-    while True:
-        hx = rng.integers(0, p, size=(rx, n))
-        ker = ffield.kernel(hx, p)
-        hz = rng.integers(0, p, size=(rz, ker.shape[0])) @ ker % p
-        weights = np.count_nonzero(np.vstack([hx, hz]), axis=1)
-        if ffield.rank(hx, p) == rx and ffield.rank(hz, p) == rz and weights.min() >= 2:
-            break
-    zero = np.zeros(n, dtype=np.int64)
-    checks = [PauliString(p, row, zero) for row in hx] + [PauliString(p, zero, row) for row in hz]
-    return code_mod.new_code(p, checks)
-
-
 def test_build_matches_the_sorting_reference():
     """Layers and sorted edges equal those of per-layer RREFs plus a lexsort, for p = 3, 5, 7.
 
@@ -139,7 +125,7 @@ def test_build_matches_the_sorting_reference():
             # a code needs stabilizers of weight >= 2
             if min(np.count_nonzero(g.x | g.z) for g in gens) >= 2:
                 sources.append(code_mod.new_code(p, gens))
-        sources += css_split(_random_css_code(local, p, n, 1, 2))
+        sources += css_split(random_css_code(local, p, n, 1, 2))
     assert len(sources) >= 24
     for source in sources:
         t = build(source)
