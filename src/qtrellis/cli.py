@@ -1,9 +1,10 @@
 """Command-line front end: profile, build, census, decode, simulate, fit.
 
 Exit codes: 0 success, 2 validation error (including an empty ``simulate``
-grid), 3 resource cap exceeded, 4 I/O or format error (including a trellis
-of a group other than the code's, and a ``fit`` input without the results
-columns or with a malformed row).
+grid, and a ``fit`` whose threshold or exponent lands on an edge of its
+search box), 3 resource cap exceeded, 4 I/O or format error (including a
+trellis of a group other than the code's, and a ``fit`` input without the
+results columns or with a malformed row).
 """
 from __future__ import annotations
 
@@ -236,10 +237,9 @@ def simulate_cmd(
 
 @main.command(name="fit")
 @click.option("--in", "in_file", required=True)
-@click.option("--dmin", type=int, default=9)
 @_guard
-def fit_cmd(in_file, dmin):
-    """Threshold fit from a results CSV; prints JSON."""
+def fit_cmd(in_file):
+    """Threshold fit of ``rate_uncond`` over every distance in a results CSV; prints JSON."""
     datasets: dict[int, list[sim_mod.DataPoint]] = {}
     with open(in_file, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
@@ -258,13 +258,12 @@ def fit_cmd(in_file, dmin):
                 # a short row leaves fields None, a non-number fails to parse
                 _fail(4, f"{in_file}: line {reader.line_num}: a results field is missing or not a number")
             datasets.setdefault(d, []).append(pt)
-    fit = sim_mod.fit_threshold(datasets, dmin=dmin)
+    fit = sim_mod.fit_threshold(datasets)
     click.echo(
         json.dumps(
             {
                 "p_th": fit.p_th, "nu": fit.nu, "A": fit.A, "B": fit.B, "C": fit.C,
                 "residual": fit.residual, "distances": list(fit.distances),
-                "small_distance_caveat": fit.small_distance_caveat,
             }
         )
     )

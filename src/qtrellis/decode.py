@@ -91,8 +91,6 @@ def weights_from_channel(channel, n: int, *, p: int = 2, css_axis: str | None = 
     else:
         kind, rate = channel.kind, channel.p_phys
     probs = _site_probs(kind, rate, p)
-    if (probs < 0).any() or probs.sum() > 1 + 1e-12:
-        raise DecodeError("invalid channel probabilities")
     full = np.zeros((p, p))
     if css_axis is None:
         full = probs
@@ -452,13 +450,9 @@ def css_decode(
 ) -> DecodeOutcome:
     """Independent X/Z decoding of a CSS code; corrections multiplied.
 
-    ``channel`` is anything :func:`weights_from_channel` accepts, or a
-    pair of ready WeightTables ``(x_part_weights, z_part_weights)``.
+    ``channel`` is anything :func:`weights_from_channel` accepts.
     """
-    if isinstance(channel, tuple) and all(isinstance(w, WeightTable) for w in channel):
-        weights = dict(zip(("x", "z"), channel))
-    else:
-        weights = mode_weights(code, "css", channel)
+    weights = mode_weights(code, "css", channel)
     return _decode_one(code, {"x": x_trellis, "z": z_trellis}, "css", weights, s, true_error)
 
 

@@ -65,12 +65,16 @@ class DataPoint:
     rate_uncond: float
     ci_lo: float
     ci_hi: float
-    conditioning: str = "nontrivial"
-    ci_method: str = "wilson95"
 
 
 @dataclass(frozen=True)
 class ThresholdFit:
+    """A fit of ``rate_uncond = A + B x + C x^2``, ``x = (p - p_th) d^(1/nu)``.
+
+    ``residual`` is the sum of squared residuals over every point of
+    ``distances``; ``p_th`` and ``nu`` lie strictly inside the search box.
+    """
+
     p_th: float
     nu: float
     A: float
@@ -78,7 +82,6 @@ class ThresholdFit:
     C: float
     residual: float
     distances: tuple[int, ...]
-    small_distance_caveat: bool = False
 
 
 def _wilson(failures: int, samples: int) -> tuple[float, float]:
@@ -133,7 +136,6 @@ def exact_rate(
     decoder: str = "full",
     *,
     trellises: dict[str, Trellis] | None = None,
-    max_edges: int = 10**8,
 ) -> float:
     """Exact logical failure probability by error-pattern enumeration.
 
@@ -149,7 +151,8 @@ def exact_rate(
     depend on how the patterns are chunked.  ``"block"`` always exceeds the
     cap, since it decodes level-2 Steane (2^49 single-axis patterns), and
     raises CapacityError; the exhaustive check of its radius is
-    ``test_block_decode_low_weight_z_errors``.
+    ``test_block_decode_low_weight_z_errors``.  To cap the trellis size,
+    pass ``trellises`` from ``build_trellises(..., max_edges=...)``.
     """
     n, p = code.n, code.p
     if channel.single_axis:
@@ -161,7 +164,7 @@ def exact_rate(
             raise CapacityError(f"full-channel enumeration cap exceeded at n={n}")
         bits = 2 * n
     if trellises is None:
-        trellises = build_trellises(code, decoder, max_edges=max_edges)
+        trellises = build_trellises(code, decoder)
     digit = np.min_scalar_type(p - 1)
     unit = _channel_axes(channel.kind, np.eye(bits, dtype=digit), n)
     red, pivots, rk = ffield.rref(measure_syndromes(code, decoder, *unit), p)
@@ -264,26 +267,27 @@ def run_montecarlo(
     return points
 
 
-def fit_threshold(datasets: dict[int, list[DataPoint]], dmin: int = 9) -> ThresholdFit:
-    """Finite-size scaling fit of the quadratic ansatz.
+def fit_threshold(datasets: dict[int, list[DataPoint]]) -> ThresholdFit:
+    """Finite-size scaling fit of the quadratic ansatz to ``rate_uncond``.
 
-    Least squares over (A, B, C) with a grid search over the threshold
-    and the scaling exponent; ``datasets`` maps distance to data points.
-    Distances below ``dmin`` are only used when nothing else is available.
+    ``datasets`` maps distance to data points; every distance given is
+    fitted, and at least three are needed.  The fitted rate is the
+    code-capacity failure rate ``rate_uncond``: ``rate_cond`` divides it by
+    the probability of a nontrivial error, which lifts the small-distance
+    curves away from a common crossing.  Least squares over (A, B, C) sits
+    inside a grid search over the threshold and the scaling exponent on the
+    box [min p, max p] x [0.6, 3.0], and a Nelder-Mead refinement bounded
+    to the same box.  A refined threshold or exponent on an edge of the box
+    is no threshold, and SimError names the parameter and the edge.
     """
-    usable = {d: pts for d, pts in datasets.items() if d >= dmin}
-    caveat = False
-    if len(usable) < 3:
-        usable = dict(datasets)
-        caveat = True
-    if len(usable) < 3:
+    if len(datasets) < 3:
         raise SimError("threshold fit needs at least three distances")
     ds, ps, ys = [], [], []
-    for d, pts in usable.items():
+    for d, pts in datasets.items():
         for pt in pts:
             ds.append(d)
             ps.append(pt.p_phys)
-            ys.append(pt.rate_cond)
+            ys.append(pt.rate_uncond)
     ds = np.array(ds, dtype=float)
     ps = np.array(ps)
     ys = np.array(ys)
@@ -299,35 +303,35 @@ def fit_threshold(datasets: dict[int, list[DataPoint]], dmin: int = 9) -> Thresh
         resid = float(((design @ coef - ys) ** 2).sum())
         return coef, resid
 
+    box = ((float(ps.min()), float(ps.max())), (0.6, 3.0))
     best = (np.inf, None, None, None)
-    for p_th in np.linspace(ps.min(), ps.max(), 81):
-        for nu in np.linspace(0.6, 3.0, 49):
+    for p_th in np.linspace(*box[0], 81):
+        for nu in np.linspace(*box[1], 49):
             coef, resid = solve(p_th, nu)
             if resid < best[0]:
                 best = (resid, p_th, nu, coef)
     if best[3] is None:
         raise SimError("degenerate threshold fit")
-    # local refinement around the best grid cell
+    # local refinement around the best grid cell, inside the same box
     from scipy.optimize import minimize
 
-    def objective(v):
-        return solve(v[0], max(v[1], 0.05))[1]
-
-    res = minimize(objective, [best[1], best[2]], method="Nelder-Mead")
-    p_th, nu = float(res.x[0]), float(max(res.x[1], 0.05))
+    res = minimize(
+        lambda v: solve(*v)[1], [best[1], best[2]], method="Nelder-Mead", bounds=box
+    )
+    p_th, nu = (float(v) for v in res.x)
     coef, resid = solve(p_th, nu)
     if coef is None or not np.isfinite(resid):
         raise SimError("degenerate threshold fit")
     scale = max(abs(ys).max(), 1e-12)
     if abs(coef[1]) < 1e-9 * scale and abs(coef[2]) < 1e-9 * scale:
         raise SimError("degenerate threshold fit: no distance dependence")
+    for name, value, (lo, hi) in (("p_th", p_th, box[0]), ("nu", nu, box[1])):
+        if not lo < value < hi:
+            edge = "lower" if value <= lo else "upper"
+            raise SimError(
+                f"threshold fit refused: {name} = {value:.6g} sits on the {edge} edge "
+                f"of its search range [{lo:.6g}, {hi:.6g}]"
+            )
     return ThresholdFit(
-        p_th,
-        nu,
-        float(coef[0]),
-        float(coef[1]),
-        float(coef[2]),
-        resid,
-        tuple(sorted(usable)),
-        caveat,
+        p_th, nu, float(coef[0]), float(coef[1]), float(coef[2]), resid, tuple(sorted(datasets))
     )

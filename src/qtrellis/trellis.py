@@ -25,7 +25,6 @@ from .code import (
     TrellisProfile,
     to_tof,
     profile as tof_profile,
-    permute,
 )
 
 _MAGIC = b"QTRLS"
@@ -154,7 +153,7 @@ def _partial_syndromes(sym: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
     return out % p
 
 
-def _resolve(source, order):
+def _resolve(source):
     """Normalize a build source to (tof, label matrix, profile).
 
     Vertices are labelled by partial syndromes against one set of checks: a
@@ -164,25 +163,13 @@ def _resolve(source, order):
     rows of the checks; ``m`` may be 0.
     """
     if isinstance(source, StabilizerCode):
-        if order is not None:
-            source = permute(source, order)
         tof, checks = source.normalizer_tof(), source.stabilizers
     elif isinstance(source, CssPart):
-        if order is not None:
-            raise TrellisError("permute the code before splitting")
         tof, checks = source.tof(), source.checks
     elif isinstance(source, TofGenerators):
-        if order is not None:
-            raise TrellisError("permute the generators before reducing them")
         tof, checks = source, None
     else:
-        gens = list(source)
-        if order is not None:
-            if gens and sorted(order) != list(range(1, gens[0].n + 1)):
-                raise TrellisError("order must be a permutation of 1..n")
-            idx = np.array(order, dtype=np.int64) - 1
-            gens = [PauliString(g.p, g.x[idx], g.z[idx]) for g in gens]
-        tof, checks = to_tof(gens), None
+        tof, checks = to_tof(list(source)), None
     p, n = tof.p, tof.n
     if checks is None:
         sym = ffield.kernel(commutation_matrix(list(tof.gens)), p)
@@ -191,7 +178,7 @@ def _resolve(source, order):
     return tof, commutation_rows(sym, p).T, tof_profile(tof)
 
 
-def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
+def build(source, *, max_edges: int = 10**8) -> Trellis:
     """Build the minimal zero-syndrome trellis.
 
     ``source`` may be a StabilizerCode (trellis of its normalizer), a
@@ -205,7 +192,7 @@ def build(source, order=None, *, max_edges: int = 10**8) -> Trellis:
     echelon order, its span is the edge list sorted by (target, source,
     label), since a vertex's index is the rank of its label.
     """
-    tof, L, prof = _resolve(source, order)
+    tof, L, prof = _resolve(source)
     p, n = tof.p, tof.n
     if prof.total_edges > max_edges:
         raise CapacityError(

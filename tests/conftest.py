@@ -152,7 +152,7 @@ def reference_build(source):
     """
     from qtrellis.trellis import _partial_syndromes, _resolve
 
-    tof, L, _ = _resolve(source, None)
+    tof, L, _ = _resolve(source)
     p, n, m = tof.p, tof.n, L.shape[1]
     G = symplectic_matrix(list(tof.gens))
     syn = _partial_syndromes(G, L, p)

@@ -214,18 +214,9 @@ def test_criterion_7_surface_threshold():
         assert cross is not None, f"no crossing for d={d1} vs d={d2}"
         assert 0.09 <= cross <= 0.11, f"d={d1}/{d2} crossing at {cross:.4f}"
     # the ansatz fit lands at the known threshold with a plausible exponent
-    fit_data = {
-        d: [
-            DataPoint(pt.p_phys, pt.samples, pt.failures, pt.rate_uncond,
-                      pt.rate_uncond, pt.ci_lo, pt.ci_hi)
-            for pt in pts
-        ]
-        for d, pts in curves.items()
-    }
-    fit = fit_threshold(fit_data, dmin=9)
+    fit = fit_threshold(curves)
     assert abs(fit.p_th - 0.10) <= 0.01, f"p_th = {fit.p_th:.4f}"
     assert 1.0 <= fit.nu <= 2.2, f"nu = {fit.nu:.3f}"
-    assert fit.small_distance_caveat
     # d = 3 exact enumeration agrees with Monte Carlo within 3 sigma everywhere
     code, trellises = trellis_sets[3]
     for pt in curves[3]:

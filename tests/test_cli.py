@@ -79,8 +79,9 @@ def test_simulate_then_fit(runner, tmp_path):
         "failures", "rate_cond", "rate_uncond", "ci_lo", "ci_hi", "seed",
     ]
     # a single-distance file cannot support a threshold fit
-    result = runner.invoke(main, ["fit", "--in", str(out), "--dmin", "3"])
+    result = runner.invoke(main, ["fit", "--in", str(out)])
     assert result.exit_code == 2
+    assert "at least three distances" in result.output
 
 
 @pytest.mark.parametrize(
@@ -138,6 +139,42 @@ def test_fit_rejects_a_malformed_results_row(runner, tmp_path, row):
     result = runner.invoke(main, ["fit", "--in", str(path)])
     assert result.exit_code == 4
     assert "line 3" in result.output
+
+
+def _ansatz_csv(path, p_th):
+    """Results whose rate_uncond follows the scaling ansatz (nu = 1.5) at d = 3, 5, 7.
+
+    rate_cond is rate_uncond over the probability of a nontrivial error on
+    the d x d surface code, as ``simulate`` writes it.
+    """
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["distance", "p_phys", "samples", "failures", "rate_cond", "rate_uncond", "ci_lo", "ci_hi"])
+        for d in (3, 5, 7):
+            for i in range(9):
+                p = 0.085 + 0.00375 * i
+                x = (p - p_th) * d ** (1 / 1.5)
+                uncond = 0.30 + 1.8 * x + 4.0 * x * x
+                cond = uncond / (1.0 - (1.0 - p) ** (d * d))
+                writer.writerow([d, p, 100000, int(cond * 100000), cond, uncond, cond - 0.003, cond + 0.003])
+
+
+def test_fit_reads_the_unconditional_rate(runner, tmp_path):
+    path = tmp_path / "results.csv"
+    _ansatz_csv(path, 0.10)
+    result = runner.invoke(main, ["fit", "--in", str(path)])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert abs(doc["p_th"] - 0.10) <= 1e-3
+    assert doc["distances"] == [3, 5, 7]
+
+
+def test_fit_refuses_a_threshold_on_the_edge_of_the_grid(runner, tmp_path):
+    path = tmp_path / "results.csv"
+    _ansatz_csv(path, 0.13)
+    result = runner.invoke(main, ["fit", "--in", str(path)])
+    assert result.exit_code == 2
+    assert "p_th = 0.115 sits on the upper edge" in result.output
 
 
 def test_exit_code_validation_error(runner):

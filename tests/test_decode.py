@@ -130,7 +130,7 @@ def test_trellis_of_another_system_rejected(five_one_three, steane):
     x_part, z_part = css_split(steane)
     other_groups = (
         build(x_part),  # the X-check part: dimension n - 3, not 2n - m
-        build(steane, order=list(range(7, 0, -1))),  # same dimension, other checks
+        build(code_mod.permute(steane, list(range(7, 0, -1)))),  # same dimension, other checks
     )
     for t in other_groups:
         with pytest.raises(TrellisError):

@@ -282,40 +282,40 @@ def test_montecarlo_datapoint_fields():
     assert pt.samples == 20000
     assert 0 <= pt.failures <= pt.samples
     assert 0.0 <= pt.ci_lo <= pt.rate_cond <= pt.ci_hi <= 1.0
-    assert pt.conditioning == "nontrivial"
     assert pt.rate_uncond <= pt.rate_cond
 
 
-def test_fit_threshold_roundtrip():
-    p_th, nu = 0.10, 1.5
+def _ansatz_points(distances, p_th=0.10, nu=1.5, noise=None):
+    """Data on ``y = 0.30 + 1.8 x + 4 x^2``, ``x = (p - p_th) d^(1/nu)``, p in [0.085, 0.115]."""
+    rng = np.random.default_rng(2)
     datasets = {}
-    for d in (9, 11, 13):
+    for d in distances:
         pts = []
         for i in range(9):
             p = 0.085 + 0.00375 * i
             x = (p - p_th) * d ** (1 / nu)
-            y = 0.30 + 1.8 * x + 4.0 * x * x
+            y = 0.30 + 1.8 * x + 4.0 * x * x + (rng.normal(0, noise) if noise else 0.0)
             pts.append(DataPoint(p, 100000, int(y * 100000), y, y, y - 0.003, y + 0.003))
         datasets[d] = pts
-    fit = fit_threshold(datasets, dmin=9)
-    assert abs(fit.p_th - p_th) < 1e-3
-    assert abs(fit.nu - nu) < 1e-2
-    assert not fit.small_distance_caveat
+    return datasets
 
 
-def test_fit_threshold_small_distance_caveat():
-    rngs = np.random.default_rng(2)
-    datasets = {}
-    for d in (3, 5, 7):
-        pts = []
-        for i in range(9):
-            p = 0.085 + 0.00375 * i
-            x = (p - 0.10) * d ** (1 / 1.5)
-            y = 0.30 + 1.8 * x + 4.0 * x * x + rngs.normal(0, 1e-4)
-            pts.append(DataPoint(p, 100000, int(y * 100000), y, y, y - 0.003, y + 0.003))
-        datasets[d] = pts
-    fit = fit_threshold(datasets, dmin=9)
-    assert fit.small_distance_caveat
+def test_fit_threshold_roundtrip():
+    fit = fit_threshold(_ansatz_points((9, 11, 13)))
+    assert abs(fit.p_th - 0.10) < 1e-3
+    assert abs(fit.nu - 1.5) < 1e-2
+
+
+def test_fit_threshold_small_distances():
+    fit = fit_threshold(_ansatz_points((3, 5, 7), noise=1e-4))
+    assert abs(fit.p_th - 0.10) < 1e-3
+    assert fit.distances == (3, 5, 7)
+
+
+@pytest.mark.parametrize("p_th, edge", [(0.13, "upper"), (0.07, "lower")])
+def test_fit_threshold_refuses_a_threshold_outside_the_sampled_range(p_th, edge):
+    with pytest.raises(SimError, match=f"p_th = .* {edge} edge"):
+        fit_threshold(_ansatz_points((3, 5, 7), p_th=p_th))
 
 
 def test_fit_threshold_degenerate_raises():
@@ -324,7 +324,7 @@ def test_fit_threshold_degenerate_raises():
         for d in (9, 11, 13)
     }
     with pytest.raises(SimError):
-        fit_threshold(flat, dmin=9)
+        fit_threshold(flat)
 
 
 def test_build_trellises_modes():
