@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, from_symplectic, mul
+from .pauli import _QUBIT_CHARS, PauliString, from_symplectic, mul
 from .code import StabilizerCode
 from .trellis import Trellis, TrellisError
 
@@ -48,49 +48,23 @@ class DecodeOutcome:
     logical_flags: tuple[int, ...]
 
 
-def _site_probs(kind: str, rate: float, p: int) -> np.ndarray:
-    """Single-site label probabilities of a named channel, shape (p, p)."""
-    if not 0.0 <= rate <= 1.0:
-        raise DecodeError(f"physical rate {rate} outside [0, 1]")
-    probs = np.zeros((p, p))
-    if kind == "depolarizing":
-        probs[:] = rate / (p * p - 1)
-        probs[0, 0] = 1.0 - rate
-    elif kind == "dephasing_z":
-        probs[0, 1:] = rate / (p - 1)
-        probs[0, 0] = 1.0 - rate
-    elif kind == "dephasing_x":
-        probs[1:, 0] = rate / (p - 1)
-        probs[0, 0] = 1.0 - rate
-    else:
-        raise DecodeError(f"unknown channel kind {kind!r}")
-    return probs
-
-
-_QUBIT_LABELS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-
 def weights_from_channel(channel, n: int, *, p: int = 2, css_axis: str | None = None) -> WeightTable:
     """Turn a channel description into a weight table.
 
-    ``channel`` is either an object with ``kind`` and ``p_phys`` fields, a
-    ``(kind, rate)`` pair, or a direct mapping from qubit labels to weights
-    (taken verbatim).  ``css_axis="X"`` produces the table for the
-    X-stabilizer trellis whose labels are powers of Z, combining the
-    probabilities of all labels with the same Z-part; symmetrically for
-    ``"Z"``.
+    ``channel`` is either a :class:`qtrellis.sim.ChannelSpec`, whose
+    ``site_probs(p)`` gives the label probabilities, or a direct mapping
+    from qubit labels to weights (taken verbatim).  ``css_axis="X"``
+    produces the table for the X-stabilizer trellis whose labels are powers
+    of Z, combining the probabilities of all labels with the same Z-part;
+    symmetrically for ``"Z"``.
     """
     if isinstance(channel, dict):
         table = np.full((n, p, p), np.inf)
         for name, w in channel.items():
-            a, b = _QUBIT_LABELS[name] if isinstance(name, str) else name
+            a, b = _QUBIT_CHARS[name] if isinstance(name, str) else name
             table[:, a, b] = float(w)
         return WeightTable(p, n, table)
-    if isinstance(channel, tuple):
-        kind, rate = channel
-    else:
-        kind, rate = channel.kind, channel.p_phys
-    probs = _site_probs(kind, rate, p)
+    probs = channel.site_probs(p)
     full = np.zeros((p, p))
     if css_axis is None:
         full = probs

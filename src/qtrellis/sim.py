@@ -14,14 +14,14 @@ from . import ffield
 from .pauli import PauliString
 from .code import StabilizerCode, css_split
 from .trellis import Trellis, CapacityError, build
-from .decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights, _site_probs
+from .decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights
 
 _WILSON_Z = 1.959963984540054  # 95%
 # error patterns enumerated at once by exact_rate: a (chunk, 2n) int64
 # digit temporary is 21 MB at n = 20
 _PATTERN_CHUNK = 1 << 16
-# sampled errors decoded at once by run_montecarlo
-_DECODE_BATCH = 4096
+# rows of one run_montecarlo draw: the nontrivial ones are decoded at once
+_DRAW_ROWS = 4096
 
 
 class SimError(RuntimeError):
@@ -42,7 +42,16 @@ class ChannelSpec:
             raise SimError(f"physical rate {self.p_phys} outside [0, 1]")
 
     def site_probs(self, p: int = 2) -> np.ndarray:
-        return _site_probs(self.kind, self.p_phys, p)
+        """Single-site label probabilities, shape (p, p); entry (a, b) is that of X^a Z^b."""
+        probs = np.zeros((p, p))
+        if self.kind == "depolarizing":
+            probs[:] = self.p_phys / (p * p - 1)
+        elif self.kind == "dephasing_z":
+            probs[0, 1:] = self.p_phys / (p - 1)
+        else:
+            probs[1:, 0] = self.p_phys / (p - 1)
+        probs[0, 0] = 1.0 - self.p_phys
+        return probs
 
     @property
     def single_axis(self) -> bool:
@@ -182,9 +191,10 @@ def exact_rate(
         fail = ((logical_flags(code, err_x, err_z) + corr_flags[rows]) % p).any(axis=1)
         weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
         fails += np.bincount(weight[fail], minlength=n + 1)
-    r = channel.p_phys
-    site = r / (p - 1) if channel.single_axis else r / (p * p - 1)
-    return sum(int(c) * (1.0 - r) ** (n - w) * site**w for w, c in enumerate(fails))
+    # every nontrivial label an enumerated site takes is equally likely
+    probs = channel.site_probs(p)
+    keep, site = float(probs[0, 0]), float(probs[unit[0][0, 0], unit[1][0, 0]])
+    return sum(int(c) * keep ** (n - w) * site**w for w, c in enumerate(fails))
 
 
 def build_trellises(
@@ -220,9 +230,11 @@ def run_montecarlo(
 
     For each grid point, ``samples`` errors are drawn conditioned on being
     non-identity; failures are counted after decoding and classification.
-    The generator stream depends only on (seed, point index), making the
-    output invariant to ``_DECODE_BATCH``, the number of errors decoded at
-    once.  Each batch is decoded from the syndromes of its errors alone;
+    The generator stream depends only on (seed, point index).  Each draw of
+    ``_DRAW_ROWS`` errors keeps its nontrivial ones, up to the count still
+    needed, and decodes them from their syndromes alone before the next
+    draw, so memory is bounded by one draw.  Draws of any size read the
+    same rows from the stream, so the output does not depend on it;
     ``exact_rate`` instead decodes the whole syndrome span once.
     """
     if samples <= 0:
@@ -234,30 +246,20 @@ def run_montecarlo(
         if channel.p_phys == 0.0:
             raise SimError("cannot condition on errors at zero noise")
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(pt_index,)))
-        # draw all conditioned samples first, in fixed-size chunks, so the
-        # random stream never depends on batching
-        err_x = np.empty((samples, n), dtype=np.min_scalar_type(p - 1))
-        err_z = np.empty_like(err_x)
-        collected = 0
-        while collected < samples:
-            cx, cz = _sample_batch(channel, n, rng, 8192, p)
-            keep = ((cx != 0) | (cz != 0)).any(axis=1)
-            cx, cz = cx[keep], cz[keep]
-            take = min(cx.shape[0], samples - collected)
-            err_x[collected : collected + take] = cx[:take]
-            err_z[collected : collected + take] = cz[:take]
-            collected += take
         weights = mode_weights(code, decoder, channel)
-        failures = 0
-        for lo in range(0, samples, _DECODE_BATCH):
-            hi = min(lo + _DECODE_BATCH, samples)
-            S = measure_syndromes(code, decoder, err_x[lo:hi], err_z[lo:hi])
+        failures = collected = 0
+        while collected < samples:
+            err_x, err_z = _sample_batch(channel, n, rng, _DRAW_ROWS, p)
+            keep = np.flatnonzero(((err_x != 0) | (err_z != 0)).any(axis=1))[: samples - collected]
+            err_x, err_z = err_x[keep], err_z[keep]
+            S = measure_syndromes(code, decoder, err_x, err_z)
             corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, S)
             # the decode fails when error times correction acts logically
-            flags = logical_flags(code, err_x[lo:hi] + corr_x, err_z[lo:hi] + corr_z)
+            flags = logical_flags(code, err_x + corr_x, err_z + corr_z)
             failures += int(flags.any(axis=1).sum())
+            collected += err_x.shape[0]
         rate_cond = failures / samples
-        p_nt = 1.0 - (1.0 - channel.p_phys) ** n
+        p_nt = 1.0 - float(channel.site_probs(p)[0, 0]) ** n
         lo, hi = _wilson(failures, samples)
         points.append(
             DataPoint(
@@ -271,10 +273,10 @@ def fit_threshold(datasets: dict[int, list[DataPoint]]) -> ThresholdFit:
     """Finite-size scaling fit of the quadratic ansatz to ``rate_uncond``.
 
     ``datasets`` maps distance to data points; every distance given is
-    fitted, and at least three are needed.  The fitted rate is the
-    code-capacity failure rate ``rate_uncond``: ``rate_cond`` divides it by
-    the probability of a nontrivial error, which lifts the small-distance
-    curves away from a common crossing.  Least squares over (A, B, C) sits
+    fitted, and at least three are needed, each with four points or more.
+    The fitted rate is the code-capacity failure rate ``rate_uncond``:
+    ``rate_cond`` divides it by the probability of a nontrivial error, which
+    lifts the small-distance curves away from a common crossing.  Least squares over (A, B, C) sits
     inside a grid search over the threshold and the scaling exponent on the
     box [min p, max p] x [0.6, 3.0], and a Nelder-Mead refinement bounded
     to the same box.  A refined threshold or exponent on an edge of the box
@@ -284,6 +286,8 @@ def fit_threshold(datasets: dict[int, list[DataPoint]]) -> ThresholdFit:
         raise SimError("threshold fit needs at least three distances")
     ds, ps, ys = [], [], []
     for d, pts in datasets.items():
+        if len(pts) < 4:
+            raise SimError(f"threshold fit needs at least four points per distance; d = {d} has {len(pts)}")
         for pt in pts:
             ds.append(d)
             ps.append(pt.p_phys)
@@ -291,8 +295,6 @@ def fit_threshold(datasets: dict[int, list[DataPoint]]) -> ThresholdFit:
     ds = np.array(ds, dtype=float)
     ps = np.array(ps)
     ys = np.array(ys)
-    if len(ys) < 12:
-        raise SimError("threshold fit needs at least four points per distance")
 
     def solve(p_th: float, nu: float):
         x = (ps - p_th) * ds ** (1.0 / nu)

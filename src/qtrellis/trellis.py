@@ -21,7 +21,6 @@ from .pauli import PauliString, commutation_matrix, commutation_rows, symplectic
 from .code import (
     CssPart,
     StabilizerCode,
-    TofGenerators,
     TrellisProfile,
     to_tof,
     profile as tof_profile,
@@ -166,8 +165,6 @@ def _resolve(source):
         tof, checks = source.normalizer_tof(), source.stabilizers
     elif isinstance(source, CssPart):
         tof, checks = source.tof(), source.checks
-    elif isinstance(source, TofGenerators):
-        tof, checks = source, None
     else:
         tof, checks = to_tof(list(source)), None
     p, n = tof.p, tof.n
@@ -182,7 +179,7 @@ def build(source, *, max_edges: int = 10**8) -> Trellis:
     """Build the minimal zero-syndrome trellis.
 
     ``source`` may be a StabilizerCode (trellis of its normalizer), a
-    CssPart, a TofGenerators, or a list of Pauli strings.  Refuses with
+    CssPart, or a list of Pauli strings.  Refuses with
     CapacityError when the profile predicts more than ``max_edges`` edges.
 
     Section i spans the TOF generators active at site i in columns
@@ -353,9 +350,9 @@ def census(t: Trellis) -> SectionCensus:
     return SectionCensus(tuple(configs), counts, mergers, expansions)
 
 
-def validate(t: Trellis, prof: TrellisProfile | None = None) -> list[str]:
-    """Structural checks; returns a list of violations (empty = valid)."""
-    prof = prof if prof is not None else t.profile
+def validate(t: Trellis) -> list[str]:
+    """Structural checks against ``t.profile``; returns a list of violations (empty = valid)."""
+    prof = t.profile
     errors: list[str] = []
     if t.layers[0].size != 1 or t.layers[-1].size != 1:
         errors.append("terminal layers must hold exactly one vertex")

@@ -134,11 +134,17 @@ def test_fit_rejects_a_csv_without_results_columns(runner, tmp_path):
 def test_fit_rejects_a_malformed_results_row(runner, tmp_path, row):
     """A short row or a non-numeric field is a format error that names its line."""
     path = tmp_path / "bad.csv"
-    header = "distance,p_phys,samples,failures,rate_cond,rate_uncond,ci_lo,ci_hi"
-    path.write_text(f"{header}\n3,0.1,10,1,0.1,0.1,0.0,0.4\n{row}\n")
+    header = "distance,p_phys,samples,failures,rate_cond,rate_uncond,ci_lo,ci_hi,code,decoder,channel"
+    path.write_text(f"{header}\n3,0.1,10,1,0.1,0.1,0.0,0.4,c,css,dephasing_z\n{row}\n")
     result = runner.invoke(main, ["fit", "--in", str(path)])
     assert result.exit_code == 4
     assert "line 3" in result.output
+
+
+_ANSATZ_HEADER = [
+    "distance", "p_phys", "samples", "failures", "rate_cond", "rate_uncond", "ci_lo", "ci_hi",
+    "code", "decoder", "channel",
+]
 
 
 def _ansatz_csv(path, p_th):
@@ -149,14 +155,17 @@ def _ansatz_csv(path, p_th):
     """
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["distance", "p_phys", "samples", "failures", "rate_cond", "rate_uncond", "ci_lo", "ci_hi"])
+        writer.writerow(_ANSATZ_HEADER)
         for d in (3, 5, 7):
             for i in range(9):
                 p = 0.085 + 0.00375 * i
                 x = (p - p_th) * d ** (1 / 1.5)
                 uncond = 0.30 + 1.8 * x + 4.0 * x * x
                 cond = uncond / (1.0 - (1.0 - p) ** (d * d))
-                writer.writerow([d, p, 100000, int(cond * 100000), cond, uncond, cond - 0.003, cond + 0.003])
+                writer.writerow(
+                    [d, p, 100000, int(cond * 100000), cond, uncond, cond - 0.003, cond + 0.003,
+                     f"rotated_surface_{d}", "css", "dephasing_z"]
+                )
 
 
 def test_fit_reads_the_unconditional_rate(runner, tmp_path):
@@ -175,6 +184,21 @@ def test_fit_refuses_a_threshold_on_the_edge_of_the_grid(runner, tmp_path):
     result = runner.invoke(main, ["fit", "--in", str(path)])
     assert result.exit_code == 2
     assert "p_th = 0.115 sits on the upper edge" in result.output
+
+
+@pytest.mark.parametrize("column, label", [("channel", "depolarizing"), ("decoder", "full"), ("code", "other")])
+def test_fit_refuses_a_csv_that_mixes_studies(runner, tmp_path, column, label):
+    """A copy of every row relabelled, with rate_uncond doubled, is a second study."""
+    path = tmp_path / "results.csv"
+    _ansatz_csv(path, 0.10)
+    rows = list(csv.DictReader(path.open()))
+    with path.open("a", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=_ANSATZ_HEADER)
+        for row in rows:
+            writer.writerow({**row, column: label, "rate_uncond": 2 * float(row["rate_uncond"])})
+    result = runner.invoke(main, ["fit", "--in", str(path)])
+    assert result.exit_code == 2
+    assert "mixes" in result.output
 
 
 def test_exit_code_validation_error(runner):

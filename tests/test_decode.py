@@ -54,9 +54,11 @@ def steane():
 
 
 def test_weights_from_channel_forms_agree():
+    """A ChannelSpec's table equals the label mapping of its -log probabilities."""
     spec = ChannelSpec("depolarizing", 0.1)
     w1 = weights_from_channel(spec, 5)
-    w2 = weights_from_channel(("depolarizing", 0.1), 5)
+    labels = {"I": -np.log(0.9), "X": -np.log(0.1 / 3), "Y": -np.log(0.1 / 3), "Z": -np.log(0.1 / 3)}
+    w2 = weights_from_channel(labels, 5)
     assert np.allclose(w1.table, w2.table)
     assert np.isclose(w1.table[0, 0, 0], -np.log(0.9))
     assert np.isclose(w1.table[0, 1, 1], -np.log(0.1 / 3))
@@ -84,11 +86,6 @@ def test_weight_table_validation():
         WeightTable(2, 2, np.full((2, 2, 2), np.inf))  # nothing finite
     with pytest.raises((DecodeError, ValueError)):
         WeightTable(2, 2, -np.ones((2, 2, 2)))  # negative weights
-
-
-def test_invalid_channel_rejected():
-    with pytest.raises(DecodeError):
-        weights_from_channel(("depolarizing", 1.5), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,16 @@ def test_exact_rate_matches_golden_values(name, d, decoder, kind, p_phys):
     assert rate.hex() == _GOLDEN_RATES[name, d, decoder, kind, p_phys]
 
 
+@pytest.mark.parametrize("name,d", [("steane", None), ("rotated_surface", 3)])
+@pytest.mark.parametrize("p_phys", [0.03, 0.1])
+def test_exact_rate_of_self_dual_codes_is_axis_symmetric(name, d, p_phys):
+    """X and Z checks of a self-dual CSS code are alike, so both dephasing axes fail alike."""
+    code = code_mod.builtin(name, d)
+    trellises = build_trellises(code, "css")
+    z_rate = exact_rate(code, ChannelSpec("dephasing_z", p_phys), "css", trellises=trellises)
+    assert exact_rate(code, ChannelSpec("dephasing_x", p_phys), "css", trellises=trellises) == z_rate
+
+
 def _brute_force_rate(code, decoder, channel) -> float:
     """Sum of the probabilities of the failing patterns, each syndrome decoded."""
     n, p = code.n, code.p
@@ -265,12 +275,38 @@ def test_montecarlo_reproducible_and_batch_invariant(monkeypatch):
     grid = np.array([0.08, 0.10])
     a = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
     b = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
+    widest = max(sec.size for t in trellises.values() for sec in t.sections)
     with monkeypatch.context() as patch:
-        patch.setattr(sim_mod, "_DECODE_BATCH", 977)
+        # other draw and kernel chunk sizes
+        patch.setattr(sim_mod, "_DRAW_ROWS", 977)
+        patch.setattr(decode_mod, "_EDGE_BUDGET", 301 * widest)
         c = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 11, decoder="css")
     assert a == b == c
     d = run_montecarlo(code, trellises, "dephasing_z", grid, 40000, 12, decoder="css")
     assert a != d
+
+
+# failure counts and rate_uncond.hex() of run_montecarlo at seed 7, pinned so
+# that a change to the sampling stream or the decode order shows
+_GOLDEN_FAILURES = {
+    ("rotated_surface", 3, "css", "dephasing_z", (0.03, 0.06), 16384): [
+        (979, "0x1.d577b3cab0034p-7"), (2011, "0x1.ad5a8dcf882e2p-5"),
+    ],
+    ("steane", None, "full", "depolarizing", (0.05, 0.1), 32768): [
+        (3707, "0x1.1790df887c3b3p-5"), (7263, "0x1.d9a425cefc51dp-4"),
+    ],
+    ("steane_level2", None, "block", "dephasing_z", (0.03, 0.06), 16384): [
+        (116, "0x1.67b0356e6d1bdp-8"), (928, "0x1.b99fbd4526610p-5"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_FAILURES, key=str))
+def test_montecarlo_matches_golden_failures(case):
+    name, d, decoder, kind, grid, samples = case
+    code = code_mod.builtin(name, d)
+    pts = run_montecarlo(code, build_trellises(code, decoder), kind, np.array(grid), samples, 7, decoder=decoder)
+    assert [(pt.failures, pt.rate_uncond.hex()) for pt in pts] == _GOLDEN_FAILURES[case]
 
 
 def test_montecarlo_datapoint_fields():
@@ -316,6 +352,13 @@ def test_fit_threshold_small_distances():
 def test_fit_threshold_refuses_a_threshold_outside_the_sampled_range(p_th, edge):
     with pytest.raises(SimError, match=f"p_th = .* {edge} edge"):
         fit_threshold(_ansatz_points((3, 5, 7), p_th=p_th))
+
+
+def test_fit_threshold_needs_four_points_at_every_distance():
+    datasets = _ansatz_points((3, 5, 7))
+    datasets[7] = datasets[7][:1]
+    with pytest.raises(SimError, match="d = 7 has 1"):
+        fit_threshold(datasets)
 
 
 def test_fit_threshold_degenerate_raises():

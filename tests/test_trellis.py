@@ -14,6 +14,7 @@ from qtrellis import ffield
 from qtrellis.code import TrellisProfile, css_split, profile
 from qtrellis.decode import DecodeError, decode, pure_error, weights_from_channel
 from qtrellis.pauli import PauliString, from_symplectic, identity, mul, parse_pauli, syndrome
+from qtrellis.sim import ChannelSpec
 from qtrellis.trellis import (
     CapacityError,
     Trellis,
@@ -560,7 +561,7 @@ def test_corrupted_trellis_fails_cleanly(pos, xor):
         t = deserialize(bytes(blob))
     except TrellisError:
         return
-    weights = weights_from_channel(("depolarizing", 0.1), 7)
+    weights = weights_from_channel(ChannelSpec("depolarizing", 0.1), 7)
     try:
         decode(_STEANE, t, np.array([0, 0, 1, 0, 1, 0]), weights)
     except (TrellisError, DecodeError):
