@@ -5,7 +5,8 @@ grid; a ``fit`` input with fewer than three distances, fewer than four
 points at one distance, more than one decoder or channel, or more than one
 code at one distance; and a ``fit`` whose threshold or exponent lands on an
 edge of its search box), 3 resource cap exceeded, 4 I/O or format error
-(including a trellis of a group other than the code's, and a ``fit`` input
+(including a trellis of a group other than the code's, a trellis file of a
+format version other than 2, to be rebuilt with ``build``, and a ``fit`` input
 without the results columns, ``code``, ``decoder`` and ``channel`` among
 them, or with a malformed row).
 """
@@ -139,14 +140,13 @@ def profile_cmd(code_name, distance, split, order_file, fmt):
 @click.option("--split", type=click.Choice(["full", "x", "z"]), default="full")
 @click.option("--order", "order_file", default=None)
 @click.option("--out", "out_file", required=True)
-@click.option("--drop-labels", is_flag=True, default=False)
 @click.option("--max-edges", type=int, default=10**8)
 @_guard
-def build_cmd(code_name, distance, split, order_file, out_file, drop_labels, max_edges):
-    """Build a trellis and write it to a file."""
+def build_cmd(code_name, distance, split, order_file, out_file, max_edges):
+    """Build a trellis and write it, vertex labels included, in format version 2."""
     c = _load_code(code_name, distance, order_file)
     t = trellis_mod.build(_build_source(c, split), max_edges=max_edges)
-    blob = trellis_mod.serialize(t, include_labels=not drop_labels)
+    blob = trellis_mod.serialize(t)
     with open(out_file, "wb") as handle:
         handle.write(blob)
     click.echo(f"wrote {len(blob)} bytes: |V| = {t.total_vertices}, |E| = {t.total_edges}")

@@ -268,9 +268,8 @@ def _check_trellises(
     Every trellis must act on the code's p and n sites (7 for ``block``).
     A ``full`` trellis must span the normalizer, of dimension 2n - m, and a
     ``css`` part the strings with zero syndrome against its checks, of
-    dimension n minus their count.  Stored vertex labels must be the
-    partial syndromes against exactly those checks; a trellis without
-    labels gets the dimension check only, and ``block`` gets neither.
+    dimension n minus their count.  Its vertex labels must be the partial
+    syndromes against exactly those checks.  ``block`` gets neither check.
     """
     n, p, C = code.n, code.p, code.check_matrix
     rows = dict(zip("xz", code.css_rows)) if mode == "css" else {"full": slice(None)}
@@ -286,7 +285,7 @@ def _check_trellises(
         dim = (2 * n if mode == "full" else n) - checks.shape[0]
         if t.profile.dim != dim:
             raise TrellisError(f"trellis {key!r} spans dimension {t.profile.dim}, the code's group {dim}")
-        if t.label_matrix is not None and not np.array_equal(t.label_matrix, checks.T):
+        if not np.array_equal(t.label_matrix, checks.T):
             raise TrellisError(f"trellis {key!r} is labelled by checks other than the code's")
 
 
@@ -317,7 +316,9 @@ def decode_syndromes(
     ``"block"`` (level-2 Steane on the 7-qubit X-check trellis ``"inner"``).
     ``weights`` holds one WeightTable per key (see :func:`mode_weights`).
     Returns the x and z exponents of the corrections, each (count, n), and
-    their weights.  Trellises of another system or group raise
+    their weights.  A correction ``c`` carries its syndrome, the syndrome of
+    the error ``E``, so the residual to judge is ``E - c``, not ``E + c``
+    (the two differ for p > 2).  Trellises of another system or group raise
     TrellisError (see :func:`_check_trellises`).  Rows are decoded in
     chunks sized so that no kernel temporary exceeds ``_EDGE_BUDGET``
     entries, unless one row alone does; each row's result does not depend
@@ -366,13 +367,15 @@ def classify_residual(
 ) -> tuple[str, tuple[int, ...]]:
     """Judge a correction against the actual error.
 
-    The residual acts trivially exactly when it commutes with all 2k
-    logical generators and has zero syndrome; its syndrome is read off
+    A correction carries the error's syndrome, so the residual is
+    ``true_error - correction``, the error times the correction's inverse.
+    It acts trivially exactly when it commutes with all 2k logical
+    generators and has zero syndrome; its syndrome is read off
     ``code.check_matrix``.  The returned flags are the residual's
     commutation values ``sym_inner(residual, g)`` against each logical
     generator g: the negated :func:`logical_flags`, which differs for p > 2.
     """
-    residual = mul(true_error, correction)
+    residual = mul(true_error, PauliString(code.p, -correction.x, -correction.z))
     if np.any(code.check_matrix @ residual.symplectic() % code.p):
         return INCONSISTENT, ()
     flags = tuple((-logical_flags(code, residual.x, residual.z) % code.p).tolist())

@@ -154,10 +154,12 @@ def exact_rate(
     span of its unit patterns' syndromes.  One RREF of those lists that
     span in echelon order, and each syndrome in it is decoded once.  One
     pass over the patterns then finds each pattern's row from its
-    syndrome's pivot digits, the rank of a vector in an echelon span.  The
-    failing patterns are counted exactly per Hamming weight w, and the rate
-    is ``sum_w count[w] * (1 - r)**(n - w) * site**w``, so it does not
-    depend on how the patterns are chunked.  ``"block"`` always exceeds the
+    syndrome's pivot digits, the rank of a vector in an echelon span.  A
+    pattern E fails when ``E - c`` acts logically, ``c`` being the decoded
+    correction, which carries E's syndrome.  The failing patterns are
+    counted exactly per Hamming weight w, and the rate is
+    ``sum_w count[w] * (1 - r)**(n - w) * site**w``, so it does not depend
+    on how the patterns are chunked.  ``"block"`` always exceeds the
     cap, since it decodes level-2 Steane (2^49 single-axis patterns), and
     raises CapacityError; the exhaustive check of its radius is
     ``test_block_decode_low_weight_z_errors``.  To cap the trellis size,
@@ -188,7 +190,8 @@ def exact_rate(
         idx = np.arange(lo, min(lo + _PATTERN_CHUNK, total), dtype=np.int64)
         err_x, err_z = _channel_axes(channel.kind, ((idx[:, None] // powers) % p).astype(digit), n)
         rows = ffield.mixed_radix(measure_syndromes(code, decoder, err_x, err_z)[:, pivots], p)
-        fail = ((logical_flags(code, err_x, err_z) + corr_flags[rows]) % p).any(axis=1)
+        # each correction carries the pattern's syndrome: E - c is the residual
+        fail = ((logical_flags(code, err_x, err_z) - corr_flags[rows]) % p).any(axis=1)
         weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
         fails += np.bincount(weight[fail], minlength=n + 1)
     # every nontrivial label an enumerated site takes is equally likely
@@ -229,7 +232,8 @@ def run_montecarlo(
     """Estimate conditional and unconditional logical failure rates.
 
     For each grid point, ``samples`` errors are drawn conditioned on being
-    non-identity; failures are counted after decoding and classification.
+    non-identity; a draw E fails when ``E - c`` acts logically, ``c`` being
+    the correction decoded from E's syndrome.
     The generator stream depends only on (seed, point index).  Each draw of
     ``_DRAW_ROWS`` errors keeps its nontrivial ones, up to the count still
     needed, and decodes them from their syndromes alone before the next
@@ -254,8 +258,9 @@ def run_montecarlo(
             err_x, err_z = err_x[keep], err_z[keep]
             S = measure_syndromes(code, decoder, err_x, err_z)
             corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, S)
-            # the decode fails when error times correction acts logically
-            flags = logical_flags(code, err_x + corr_x, err_z + corr_z)
+            # the correction carries the error's syndrome, so the decode
+            # fails when the residual E - c acts logically
+            flags = logical_flags(code, err_x - corr_x, err_z - corr_z)
             failures += int(flags.any(axis=1).sum())
             collected += err_x.shape[0]
         rate_cond = failures / samples

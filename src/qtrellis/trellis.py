@@ -27,7 +27,7 @@ from .code import (
 )
 
 _MAGIC = b"QTRLS"
-_VERSION = 1
+_VERSION = 2
 
 
 class TrellisError(RuntimeError):
@@ -49,18 +49,13 @@ class TrellisLayer:
 
     p: int
     size: int
-    basis: np.ndarray | None = None
-    pivots: tuple[int, ...] = ()
-    offset: np.ndarray | None = None
+    basis: np.ndarray
+    pivots: tuple[int, ...]
+    offset: np.ndarray
 
     def labels(self) -> np.ndarray:
         """All vertex labels in index order, shape (size, label_width)."""
-        if self.basis is None:
-            raise TrellisError("vertex labels were dropped")
-        out = ffield.span(self.basis, self.p)
-        if self.offset is not None:
-            out = (out + self.offset) % self.p
-        return out
+        return (ffield.span(self.basis, self.p) + self.offset) % self.p
 
 
 @dataclass(frozen=True)
@@ -95,8 +90,10 @@ class TrellisSection:
 class Trellis:
     """An immutable built trellis plus the profile it was predicted from.
 
-    A path's label at depth i is its ``[x | z]`` vector with the sites past
-    i zeroed, times ``label_matrix`` (None when the labels were dropped).
+    Every trellis carries its vertex labels.  A path's label at depth i is
+    its ``[x | z]`` vector with the sites past i zeroed, times
+    ``label_matrix``: the ``(2n, m)`` transposed ``[-z | x]`` rows of the
+    checks (see :func:`build`), with ``m`` possibly 0.
     """
 
     p: int
@@ -104,7 +101,7 @@ class Trellis:
     layers: tuple[TrellisLayer, ...]
     sections: tuple[TrellisSection, ...]
     profile: TrellisProfile
-    label_matrix: np.ndarray | None = None
+    label_matrix: np.ndarray
 
     @property
     def total_vertices(self) -> int:
@@ -115,10 +112,8 @@ class Trellis:
         return sum(sec.size for sec in self.sections)
 
     @property
-    def label_maps(self) -> tuple[np.ndarray, ...] | None:
+    def label_maps(self) -> tuple[np.ndarray, ...]:
         """The n + 1 depth maps: ``label_matrix`` with the rows of sites past i zeroed."""
-        if self.label_matrix is None:
-            return None
         site = np.tile(np.arange(self.n), 2)[:, None]
         return tuple(self.label_matrix * (site < i) for i in range(self.n + 1))
 
@@ -232,13 +227,8 @@ def shift(t: Trellis, pure_error: PauliString) -> Trellis:
     if pure_error.n != t.n or pure_error.p != t.p:
         raise TrellisError("shift string acts on a different system")
     p = t.p
-    layers = list(t.layers)
-    if t.label_matrix is not None:
-        off = _partial_syndromes(pure_error.symplectic(), t.label_matrix, p)
-        for i, layer in enumerate(layers):
-            if layer.basis is not None:
-                base = layer.offset if layer.offset is not None else 0
-                layers[i] = replace(layer, offset=(base + off[i]) % p)
+    off = _partial_syndromes(pure_error.symplectic(), t.label_matrix, p)
+    layers = [replace(layer, offset=(layer.offset + off[i]) % p) for i, layer in enumerate(t.layers)]
     sections = []
     for i, sec in enumerate(t.sections, start=1):
         a, b = int(pure_error.x[i - 1]), int(pure_error.z[i - 1])
@@ -268,20 +258,15 @@ def product(t1: Trellis, t2: Trellis) -> Trellis:
     p, n = t1.p, t1.n
     layers = []
     for l1, l2 in zip(t1.layers, t2.layers):
-        if l1.basis is not None and l2.basis is not None:
-            m1 = l1.basis.shape[1]
-            m2 = l2.basis.shape[1]
-            basis = np.zeros((l1.basis.shape[0] + l2.basis.shape[0], m1 + m2), dtype=np.int64)
-            basis[: l1.basis.shape[0], :m1] = l1.basis
-            basis[l1.basis.shape[0] :, m1:] = l2.basis
-            pivots = tuple(l1.pivots) + tuple(m1 + c for c in l2.pivots)
-            off1 = l1.offset if l1.offset is not None else np.zeros(m1, dtype=np.int64)
-            off2 = l2.offset if l2.offset is not None else np.zeros(m2, dtype=np.int64)
-            layers.append(
-                TrellisLayer(p, l1.size * l2.size, basis, pivots, np.concatenate([off1, off2]))
-            )
-        else:
-            layers.append(TrellisLayer(p, l1.size * l2.size))
+        m1 = l1.basis.shape[1]
+        m2 = l2.basis.shape[1]
+        basis = np.zeros((l1.basis.shape[0] + l2.basis.shape[0], m1 + m2), dtype=np.int64)
+        basis[: l1.basis.shape[0], :m1] = l1.basis
+        basis[l1.basis.shape[0] :, m1:] = l2.basis
+        pivots = tuple(l1.pivots) + tuple(m1 + c for c in l2.pivots)
+        layers.append(
+            TrellisLayer(p, l1.size * l2.size, basis, pivots, np.concatenate([l1.offset, l2.offset]))
+        )
     sections = []
     for i, (s1, s2) in enumerate(zip(t1.sections, t2.sections), start=1):
         v2_prev = t2.layers[i - 1].size
@@ -298,16 +283,13 @@ def product(t1: Trellis, t2: Trellis) -> Trellis:
         if dup.any():
             raise TrellisError(f"product is improper at section {i}")
         sections.append(TrellisSection(p, src, tgt, lab))
-    L = None
-    if t1.label_matrix is not None and t2.label_matrix is not None:
-        L = np.hstack([t1.label_matrix, t2.label_matrix])
     return Trellis(
         p,
         n,
         tuple(layers),
         tuple(sections),
         _product_profile(t1.profile, t2.profile),
-        L,
+        np.hstack([t1.label_matrix, t2.label_matrix]),
     )
 
 
@@ -430,36 +412,32 @@ def enumerate_paths(t: Trellis):
 # serialization
 
 
-def serialize(t: Trellis, *, include_labels: bool = True) -> bytes:
-    """Versioned binary encoding; lossless with or without vertex labels.
+def serialize(t: Trellis) -> bytes:
+    """Versioned binary encoding of a trellis, its vertex labels included.
 
-    Version 1 stores the label matrix as the n + 1 ``Trellis.label_maps``.
+    Version 2 writes, little-endian: the magic; ``(version, p, n, m, dim)``;
+    the profile's ``dim_past`` and ``dim_future``; per layer its size,
+    rank, pivots, int16 basis and int16 offset; per section its edge
+    count, int64 sources and int16 labels; and last the int16
+    ``(2n, m)`` label matrix.  Targets are not stored: a section sorted
+    by target with a uniform in-degree has targets ``arange(count) // deg``.
     """
     out = bytearray()
     out += _MAGIC
-    m = t.label_matrix.shape[1] if t.label_matrix is not None else 0
-    has_labels = include_labels and t.label_matrix is not None
-    out += struct.pack("<HBHIIH", _VERSION, 1 if has_labels else 0, t.p, t.n, m, t.profile.dim)
+    out += struct.pack("<HHIIH", _VERSION, t.p, t.n, t.label_matrix.shape[1], t.profile.dim)
     out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_past)
     out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_future)
     for layer in t.layers:
-        if has_labels and layer.basis is not None:
-            r = layer.basis.shape[0]
-            out += struct.pack("<QI", layer.size, r)
-            out += struct.pack(f"<{r}I", *layer.pivots)
-            out += layer.basis.astype(np.int16).tobytes()
-            off = layer.offset if layer.offset is not None else np.zeros(m, dtype=np.int64)
-            out += off.astype(np.int16).tobytes()
-        else:
-            out += struct.pack("<QI", layer.size, 0xFFFFFFFF)
+        r = layer.basis.shape[0]
+        out += struct.pack("<QI", layer.size, r)
+        out += struct.pack(f"<{r}I", *layer.pivots)
+        out += layer.basis.astype(np.int16).tobytes()
+        out += layer.offset.astype(np.int16).tobytes()
     for sec in t.sections:
         out += struct.pack("<Q", sec.size)
         out += sec.source.astype(np.int64).tobytes()
-        out += sec.target.astype(np.int64).tobytes()
         out += sec.label.astype(np.int16).tobytes()
-    if has_labels:
-        for M in t.label_maps:
-            out += M.astype(np.int16).tobytes()
+    out += t.label_matrix.astype(np.int16).tobytes()
     return bytes(out)
 
 
@@ -480,13 +458,21 @@ class _Reader:
 
 
 def deserialize(data: bytes) -> Trellis:
-    """Inverse of :func:`serialize`; keeps the last depth map as the label matrix."""
+    """Inverse of :func:`serialize`; rebuilds each section's targets from the profile.
+
+    Only version 2 is read: a stream of another version, such as a version-1
+    file, raises TrellisError naming it, and is rebuilt with ``qtrellis build``.
+    """
     r = _Reader(data)
     if r.take(len(_MAGIC)) != _MAGIC:
         raise TrellisError("bad magic: not a trellis stream")
-    version, has_labels, p, n, m, dim = r.unpack("<HBHIIH")
+    (version,) = r.unpack("<H")
     if version != _VERSION:
-        raise TrellisError(f"unsupported trellis format version {version}")
+        raise TrellisError(
+            f"trellis format version {version} is not read (only version {_VERSION}); "
+            "rebuild the file with `qtrellis build`"
+        )
+    p, n, m, dim = r.unpack("<HIIH")
     past = r.unpack(f"<{n + 1}I")
     future = r.unpack(f"<{n + 1}I")
     if past[0] != 0 or past[-1] != dim or any(a > b for a, b in zip(past, past[1:])):
@@ -502,55 +488,43 @@ def deserialize(data: bytes) -> Trellis:
     layers = []
     for i in range(n + 1):
         size, rk = r.unpack("<QI")
-        check_size(f"layer {i}", size, dim - past[i] - future[i])
-        if rk == 0xFFFFFFFF:
-            layers.append(TrellisLayer(p, size))
-        else:
-            pivots = r.unpack(f"<{rk}I")
-            basis = np.frombuffer(r.take(2 * rk * m), dtype=np.int16).reshape(rk, m).astype(np.int64)
-            offset = np.frombuffer(r.take(2 * m), dtype=np.int16).astype(np.int64)
-            layers.append(TrellisLayer(p, size, basis, pivots, offset))
+        e = dim - past[i] - future[i]
+        check_size(f"layer {i}", size, e)
+        if rk != e:
+            raise TrellisError(f"layer {i}: label basis of rank {rk}, the profile's {e}")
+        pivots = r.unpack(f"<{rk}I")
+        basis = np.frombuffer(r.take(2 * rk * m), dtype=np.int16).reshape(rk, m).astype(np.int64)
+        offset = np.frombuffer(r.take(2 * m), dtype=np.int16).astype(np.int64)
+        layers.append(TrellisLayer(p, size, basis, pivots, offset))
     sections = []
     for i in range(n):
         (count,) = r.unpack("<Q")
         check_size(f"section {i + 1}", count, dim - past[i] - future[i + 1])
         src = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
-        tgt = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
         lab = np.frombuffer(r.take(4 * count), dtype=np.int16).reshape(count, 2).astype(np.int64)
-        # the decoder indexes vertices by source and reshapes each section
-        # to (target, in-degree), so both must be exact; the profile makes
-        # the in-degree p**(past[i + 1] - past[i]), a whole number
-        v_prev, v_next = layers[i].size, layers[i + 1].size
-        deg = count // v_next
-        if not np.array_equal(tgt, np.arange(count) // deg):
-            raise TrellisError(f"section {i + 1}: targets not sorted with a uniform in-degree")
-        if src.min() < 0 or src.max() >= v_prev:
+        if src.min() < 0 or src.max() >= layers[i].size:
             raise TrellisError(f"section {i + 1}: source index outside its layer")
         if lab.min() < 0 or lab.max() >= p:
             raise TrellisError(f"section {i + 1}: label outside [0, p)")
+        # the profile makes the in-degree p**(past[i + 1] - past[i]), a
+        # whole number, so the sorted targets are exact
+        tgt = np.arange(count) // (count // layers[i + 1].size)
         sections.append(TrellisSection(p, src, tgt, lab))
-    maps = [
-        np.frombuffer(r.take(2 * 2 * n * m), dtype=np.int16).reshape(2 * n, m).astype(np.int64)
-        for _ in range(n + 1 if has_labels else 0)
-    ]
+    L = np.frombuffer(r.take(2 * 2 * n * m), dtype=np.int16).reshape(2 * n, m).astype(np.int64)
     # every size matched its exponent above, so the profile is exact
     prof = TrellisProfile.from_dims(p, n, dim, past, future)
-    t = Trellis(p, n, tuple(layers), tuple(sections), prof, maps[-1] if maps else None)
-    for i, (M, want) in enumerate(zip(maps, t.label_maps or ())):
-        if not np.array_equal(M, want):
-            raise TrellisError(f"label map {i} is not the depth-{i} prefix of map {n}")
-    return t
+    return Trellis(p, n, tuple(layers), tuple(sections), prof, L)
 
 
 def to_json(t: Trellis) -> str:
-    """Human-inspectable JSON export of the structure (labels optional)."""
+    """Human-inspectable JSON export of the structure and vertex labels."""
     doc = {
         "p": t.p,
         "n": t.n,
         "layers": [
             {
                 "size": layer.size,
-                "labels": layer.labels().tolist() if layer.basis is not None else None,
+                "labels": layer.labels().tolist(),
             }
             for layer in t.layers
         ],

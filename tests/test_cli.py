@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
 from dataclasses import replace
 
 import pytest
@@ -266,15 +267,18 @@ def test_exit_code_trellis_profile_mismatch(runner, tmp_path):
     assert "dim_past" in result.output
 
 
-def test_exit_code_label_map_not_a_prefix_mask(runner, tmp_path):
-    """A v1 file whose first stored depth map is not the empty prefix of the last is a format error."""
-    out = tmp_path / "steane.trellis"
-    assert runner.invoke(main, ["build", "--code", "steane", "--out", str(out)]).exit_code == 0
-    blob = out.read_bytes()
-    t = deserialize(blob)
-    size = 2 * t.label_matrix.size  # int16 entries per stored map
-    start = len(blob) - (t.n + 1) * size
-    out.write_bytes(blob[:start] + blob[-size:] + blob[start + size :])
-    result = runner.invoke(main, ["census", "--trellis", str(out)])
-    assert result.exit_code == 4
-    assert "label map 0" in result.output
+def test_v1_trellis_file_exits_4_with_a_rebuild_hint(runner, tmp_path):
+    """Format v1 is no longer read: census and decode of a v1 file are format errors."""
+    out = tmp_path / "steane_v1.trellis"
+    # the v1 header of a Steane normalizer trellis: (version, labels flag, p, n, m, dim)
+    out.write_bytes(b"QTRLS" + struct.pack("<HBHIIH", 1, 1, 2, 7, 6, 8))
+    for args in (
+        ["census", "--trellis", str(out)],
+        [
+            "decode", "--trellis", str(out), "--code", "steane",
+            "--syndrome", "0,0,1,0,0,0", "--channel", "depolarizing:0.1",
+        ],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert "version 1" in result.output and "qtrellis build" in result.output

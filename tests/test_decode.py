@@ -268,14 +268,14 @@ def test_classify_residual(five_one_three):
 
 
 def test_classify_residual_flags_at_p3():
-    """Flags are sym_inner(residual, g): the negated logical_flags, which differ at p = 3."""
+    """Flags are sym_inner(E - c, g): the negated logical_flags, which differ at p = 3."""
     code = code_mod.new_code(3, [parse_pauli(s, 3) for s in ("X0.Z1 X0.Z2 X0.Z0", "X0.Z0 X0.Z1 X0.Z2")])
     zero = np.zeros(3, dtype=np.int64)
     ones = np.ones(3, dtype=np.int64)
     for err in (PauliString(3, ones, zero), PauliString(3, 2 * ones, zero), PauliString(3, ones, ones)):
         for corr in (identity(3, 3), PauliString(3, zero, ones)):
             cls, flags = classify_residual(code, err, corr)
-            residual = mul(err, corr)
+            residual = mul(err, PauliString(3, -corr.x, -corr.z))
             want = tuple(sym_inner(residual, g) for g in code.logical_gens)
             assert any(want) and cls == "logical_failure"
             assert flags == want

@@ -12,6 +12,7 @@ from qtrellis import code as code_mod
 from qtrellis import sim as sim_mod
 from qtrellis.code import profile
 from qtrellis.decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights
+from qtrellis.pauli import PauliString
 from qtrellis.sim import (
     ChannelSpec,
     DataPoint,
@@ -138,7 +139,11 @@ def test_exact_rate_of_self_dual_codes_is_axis_symmetric(name, d, p_phys):
 
 
 def _brute_force_rate(code, decoder, channel) -> float:
-    """Sum of the probabilities of the failing patterns, each syndrome decoded."""
+    """Sum of the probabilities of the failing patterns, each syndrome decoded.
+
+    A correction c carries the pattern's syndrome, so the pattern E fails
+    when the residual E - c, which must have zero syndrome, acts logically.
+    """
     n, p = code.n, code.p
     flat = np.array(list(itertools.product(range(p * p), repeat=n)), dtype=np.int64)
     prob = channel.site_probs(p).ravel()[flat].prod(axis=1)
@@ -148,7 +153,9 @@ def _brute_force_rate(code, decoder, channel) -> float:
     trellises = build_trellises(code, decoder)
     S = measure_syndromes(code, decoder, err_x, err_z)
     corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, mode_weights(code, decoder, channel), S)
-    fail = logical_flags(code, err_x + corr_x, err_z + corr_z).any(axis=1)
+    res_x, res_z = err_x - corr_x, err_z - corr_z
+    assert not measure_syndromes(code, decoder, res_x, res_z).any()
+    fail = logical_flags(code, res_x, res_z).any(axis=1)
     return math.fsum(prob[fail])
 
 
@@ -160,20 +167,53 @@ def _random_code(rng, n, m, p):
             return code_mod.new_code(p, gens)
 
 
+def _seed41_qudit_codes():
+    """Random codes of seed 41: two at p = 3 and two at p = 5, then a p = 3 CSS code."""
+    rng = np.random.default_rng(41)
+    codes = [_random_code(rng, n, m, p) for p, n, m in ((3, 4, 2), (3, 4, 1), (5, 3, 1), (5, 3, 2))]
+    return codes, random_css_code(rng, 3, 5, 1, 2)
+
+
 def test_exact_rate_of_qudit_codes_matches_brute_force():
     """Random p = 3 and p = 5 codes: the weight counts equal a per-pattern sum."""
-    rng = np.random.default_rng(41)
-    cases = []
-    for p, n, m in ((3, 4, 2), (3, 4, 1), (5, 3, 1), (5, 3, 2)):
-        code = _random_code(rng, n, m, p)
-        cases += [(code, "full", kind) for kind in ("depolarizing", "dephasing_z")]
-    css = random_css_code(rng, 3, 5, 1, 2)
+    codes, css = _seed41_qudit_codes()
+    cases = [(code, "full", kind) for code in codes for kind in ("depolarizing", "dephasing_z")]
     cases += [(css, "css", kind) for kind in ("dephasing_z", "dephasing_x", "depolarizing")]
     for code, decoder, kind in cases:
         channel = ChannelSpec(kind, 0.1)
         exact = exact_rate(code, channel, decoder)
         assert exact > 0
         assert math.isclose(exact, _brute_force_rate(code, decoder, channel), rel_tol=1e-12)
+
+
+def test_decoded_qudit_residuals_are_stabilizers_up_to_logicals():
+    """Every single-site error of the seed-41 codes decodes to a residual E - c of zero syndrome."""
+    codes, _ = _seed41_qudit_codes()
+    for code in codes:
+        p, n = code.p, code.n
+        t = build_trellises(code, "full")["full"]
+        weights = mode_weights(code, "full", ChannelSpec("depolarizing", 0.1))["full"]
+        for site, a, b in itertools.product(range(n), range(p), range(p)):
+            if a == b == 0:
+                continue
+            x, z = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            x[site], z[site] = a, b
+            err = PauliString(p, x, z)
+            s = code.check_matrix @ err.symplectic() % p
+            outcome = decode_mod.decode(code, t, s, weights, true_error=err)
+            assert outcome.classification in ("success", "logical_failure")
+
+
+def test_qudit_montecarlo_matches_exact_rate():
+    """A p = 3 ``full`` depolarizing Monte Carlo point agrees with exact_rate and the per-pattern sum."""
+    code = _seed41_qudit_codes()[0][0]
+    channel = ChannelSpec("depolarizing", 0.1)
+    trellises = build_trellises(code, "full")
+    exact = exact_rate(code, channel, "full", trellises=trellises)
+    (pt,) = run_montecarlo(code, trellises, "depolarizing", np.array([0.1]), 20000, 5, decoder="full")
+    sigma = np.sqrt(exact * (1 - exact) / pt.samples)
+    for want in (exact, _brute_force_rate(code, "full", channel)):
+        assert abs(pt.rate_uncond - want) < 3 * sigma
 
 
 def test_css_decoder_with_one_kind_of_check():

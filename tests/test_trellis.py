@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def trivial_trellis(p: int, n: int) -> Trellis:
         (1,) * n, (1,) * n, (1,) * n, ((0, 0),) * n,
     )
     layers = tuple(
-        TrellisLayer(p, 1, np.zeros((0, 0), dtype=np.int64), (), None)
+        TrellisLayer(p, 1, np.zeros((0, 0), dtype=np.int64), (), np.zeros(0, dtype=np.int64))
         for _ in range(n + 1)
     )
     zero = np.zeros(1, dtype=np.int64)
@@ -198,9 +199,32 @@ def test_build_of_a_permuted_code(five_one_three):
     assert set(enumerate_paths(build(swapped))) == group_elements(swapped)
 
 
-# SHA-256 of serialize(build(...)) for the normalizer and both CSS parts of
-# the built-ins; the [[20,3,6]] and [[20,4,6]] normalizers and the d = 9
-# surface code (about 3.5 s together) are left out for time
+def _v1_bytes(t: Trellis) -> bytes:
+    """Format version 1 of ``t``: edge targets stored, and the n + 1 depth maps in place of the label matrix."""
+    out = bytearray(b"QTRLS")
+    out += struct.pack("<HBHIIH", 1, 1, t.p, t.n, t.label_matrix.shape[1], t.profile.dim)
+    out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_past)
+    out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_future)
+    for layer in t.layers:
+        r = layer.basis.shape[0]
+        out += struct.pack("<QI", layer.size, r)
+        out += struct.pack(f"<{r}I", *layer.pivots)
+        out += layer.basis.astype(np.int16).tobytes()
+        out += layer.offset.astype(np.int16).tobytes()
+    for sec in t.sections:
+        out += struct.pack("<Q", sec.size)
+        out += sec.source.astype(np.int64).tobytes()
+        out += sec.target.astype(np.int64).tobytes()
+        out += sec.label.astype(np.int16).tobytes()
+    for M in t.label_maps:
+        out += M.astype(np.int16).tobytes()
+    return bytes(out)
+
+
+# SHA-256 of the format-v1 bytes of build(...) for the normalizer and both
+# CSS parts of the built-ins, so the digests pin every array build makes;
+# the [[20,3,6]] and [[20,4,6]] normalizers and the d = 9 surface code
+# (about 3.5 s together) are left out for time
 _GOLDEN = {
     ("codetable_20_10_4", None, "full"): "168a8bb2cf0c3983655a40ace121e40f32cb72090396d82cb1befa0ef284bb3f",
     ("codetable_20_13_3", None, "full"): "c39ebfb1b0a97de2a8e2992d96c66a6e18a4c0eaa6b9f6b6105f7f516120119b",
@@ -236,11 +260,14 @@ _GOLDEN = {
 }
 
 
+def _golden_source(name, d, part):
+    code = code_mod.builtin(name, d)
+    return code if part == "full" else css_split(code)["xz".index(part)]
+
+
 @pytest.mark.parametrize("name,d,part", sorted(_GOLDEN, key=str))
 def test_build_bytes_match_golden_digests(name, d, part):
-    code = code_mod.builtin(name, d)
-    source = code if part == "full" else css_split(code)["xz".index(part)]
-    assert hashlib.sha256(serialize(build(source))).hexdigest() == _GOLDEN[name, d, part]
+    assert hashlib.sha256(_v1_bytes(build(_golden_source(name, d, part)))).hexdigest() == _GOLDEN[name, d, part]
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +476,6 @@ def test_serialize_round_trip(t513):
     assert again.profile == t513.profile
 
 
-def test_serialize_drop_labels(t513):
-    again = deserialize(serialize(t513, include_labels=False))
-    with pytest.raises(TrellisError):
-        again.layers[1].labels()
-    for a, b in zip(again.sections, t513.sections):
-        assert np.array_equal(a.source, b.source)
-        assert np.array_equal(a.label, b.label)
-
-
 def test_serialize_truncated_stream(t513):
     blob = serialize(t513)
     with pytest.raises(TrellisError):
@@ -466,30 +484,50 @@ def test_serialize_truncated_stream(t513):
         deserialize(b"NOTATRELLIS")
 
 
-def _with_label_map(t: Trellis, i: int, M: np.ndarray) -> bytes:
-    """The v1 bytes of ``t`` with its stored depth map ``i`` replaced by ``M``."""
+def _assert_same_trellis(a: Trellis, b: Trellis) -> None:
+    assert (a.p, a.n, a.profile) == (b.p, b.n, b.profile)
+    assert len(a.layers) == len(b.layers) and len(a.sections) == len(b.sections)
+    for la, lb in zip(a.layers, b.layers):
+        assert la.size == lb.size and tuple(la.pivots) == tuple(lb.pivots)
+        assert np.array_equal(la.basis, lb.basis) and np.array_equal(la.offset, lb.offset)
+    for sa, sb in zip(a.sections, b.sections):
+        for field in ("source", "target", "label"):
+            assert np.array_equal(getattr(sa, field), getattr(sb, field))
+    assert np.array_equal(a.label_matrix, b.label_matrix)
+
+
+def _round_trip_trellis(case) -> Trellis:
+    """A golden case's build, a p = 3 generator set, a shifted trellis (nonzero offsets) or a bare set with m = 0."""
+    if isinstance(case, tuple):
+        return build(_golden_source(*case))
+    if case == "p3":
+        return build(random_commuting_gens(np.random.default_rng(43), 6, 3, 3))
+    if case == "shifted":
+        t = shift(build(code_mod.builtin("five_one_three")), PauliString(2, [1, 0, 1, 1, 0], [0, 1, 1, 0, 0]))
+        assert any(layer.offset.any() for layer in t.layers)
+        return t
+    t = build([parse_pauli(s) for s in ("XII", "ZII", "IXI", "IZI", "IIX", "IIZ")])
+    assert t.label_matrix.shape == (6, 0)
+    return t
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN, key=str) + ["p3", "shifted", "m0"], ids=str)
+def test_v2_round_trip_keeps_every_array(case):
+    """Format v2 stores each fact once and restores layers, edges and label matrix exactly."""
+    t = _round_trip_trellis(case)
     blob = serialize(t)
-    size = 2 * t.label_matrix.size  # int16 entries
-    start = len(blob) - (t.n + 1 - i) * size
-    return blob[:start] + M.astype(np.int16).tobytes() + blob[start + size :]
+    assert blob[5:7] == struct.pack("<H", 2)
+    # 12 B an edge (int64 source, two int16 labels, no target) and one (2n, m) label matrix
+    n, m = t.n, t.label_matrix.shape[1]
+    ranks = [layer.basis.shape[0] for layer in t.layers]
+    layer_bytes = sum(12 + 4 * r + 2 * r * m + 2 * m for r in ranks)
+    assert len(blob) == 19 + 8 * (n + 1) + layer_bytes + 8 * n + 12 * t.total_edges + 4 * n * m
+    _assert_same_trellis(deserialize(blob), t)
 
 
-def test_v1_label_maps_are_prefix_masks_of_one_matrix(t513):
-    """Format v1 stores n + 1 depth maps; the reader keeps the last after checking the rest."""
-    maps = t513.label_maps
-    n, L = t513.n, t513.label_matrix
-    assert L.shape == (2 * n, 4) and len(maps) == n + 1
-    for i in range(n + 1):
-        assert not maps[i][i:n].any() and not maps[i][n + i :].any()
-        assert np.array_equal(maps[i][:i], L[:i]) and np.array_equal(maps[i][n : n + i], L[n : n + i])
-    assert np.array_equal(deserialize(serialize(t513)).label_matrix, L)
-    for i in range(n):  # map i holds a site past depth i
-        with pytest.raises(TrellisError, match=f"label map {i} is not"):
-            deserialize(_with_label_map(t513, i, L))
-    flipped = L.copy()
-    flipped[0, 0] ^= 1  # a different last map no longer extends map 1
-    with pytest.raises(TrellisError, match="label map 1 is not"):
-        deserialize(_with_label_map(t513, n, flipped))
+def test_v1_file_is_refused_with_a_rebuild_hint(t513):
+    with pytest.raises(TrellisError, match=r"version 1 .*qtrellis build"):
+        deserialize(_v1_bytes(t513))
 
 
 _STEANE = code_mod.builtin("steane")
@@ -517,20 +555,16 @@ def test_deserialize_rejects_truncation(length):
 @settings(max_examples=150, deadline=None)
 @given(
     i=st.integers(0, 6),
-    field=st.sampled_from(["source", "target", "label"]),
+    field=st.sampled_from(["source", "label"]),
     j=st.integers(0, 10**6),
     delta=st.integers(1, 30000),  # labels are stored as int16
     negative=st.booleans(),
 )
 def test_deserialize_rejects_out_of_range_edges(i, field, j, delta, negative):
-    """Sources outside their layer, unsorted or unbalanced targets, labels outside [0, p)."""
+    """Sources outside their layer, labels outside [0, p)."""
     t = _STEANE_TRELLIS
-    sec = t.sections[i]
-    if field == "target":  # any change breaks the sorted, uniform in-degree layout
-        value = sec.target[j % sec.size] + (-delta if negative else delta)
-    else:
-        bound = t.layers[i].size if field == "source" else t.p
-        value = -delta if negative else bound - 1 + delta
+    bound = t.layers[i].size if field == "source" else t.p
+    value = -delta if negative else bound - 1 + delta
     with pytest.raises(TrellisError):
         deserialize(_with_edge_entry(t, i, field, j, value))
 
@@ -549,6 +583,19 @@ def test_deserialize_checks_the_stored_profile():
     future = (0,) + t.profile.dim_future[1:]  # does not start at dim
     with pytest.raises(TrellisError, match="dim_future"):
         deserialize(serialize(replace(t, profile=replace(t.profile, dim_future=future))))
+
+
+def test_deserialize_checks_each_layer_rank():
+    """A layer's label basis must have the rank its size implies."""
+    t = _STEANE_TRELLIS
+    m = t.label_matrix.shape[1]
+    # magic, header, profile, then layer 0 (size, rank 0, an m-entry offset), then layer 1's size
+    pos = 5 + struct.calcsize("<HHIIH") + 8 * (t.n + 1) + struct.calcsize("<QI") + 2 * m + 8
+    blob = bytearray(_STEANE_BLOB)
+    assert struct.unpack_from("<I", blob, pos) == (t.layers[1].basis.shape[0],)
+    struct.pack_into("<I", blob, pos, t.layers[1].basis.shape[0] - 1)
+    with pytest.raises(TrellisError, match="layer 1: label basis of rank"):
+        deserialize(bytes(blob))
 
 
 @settings(max_examples=200, deadline=None)
