@@ -198,7 +198,8 @@ def decode_cmd(trellis_file, code_name, distance, syndrome, channel_text):
 @main.command(name="simulate")
 @click.option("--code", "code_name", required=True)
 @click.option("--distance", type=int, default=None)
-@click.option("--channel", "channel_kind", type=click.Choice(["depolarizing", "dephasing-z"]), required=True)
+@click.option("--channel", "channel_kind", required=True,
+              type=click.Choice([kind.replace("_", "-") for kind in sim_mod.CHANNEL_KINDS]))
 @click.option("--p-min", type=float, required=True)
 @click.option("--p-max", type=float, required=True)
 @click.option("--p-step", type=float, required=True)

@@ -104,7 +104,7 @@ class TrellisProfile:
 
     ``v_count[i]`` and degree entries are exact Python integers since the
     counts grow as ``p**dim``.  Section ``i`` (1-based) lives at list
-    offset ``i - 1`` in ``e_count``, ``deg_in``, ``deg_out``, ``sections``.
+    offset ``i - 1`` in ``e_count``, ``deg_in`` and ``deg_out``.
     """
 
     p: int
@@ -116,7 +116,6 @@ class TrellisProfile:
     e_count: tuple[int, ...]
     deg_in: tuple[int, ...]
     deg_out: tuple[int, ...]
-    sections: tuple[tuple[int, int], ...]
 
     @property
     def total_vertices(self) -> int:
@@ -135,10 +134,7 @@ class TrellisProfile:
         e_count = tuple(p ** (dim - past[i - 1] - future[i]) for i in range(1, n + 1))
         deg_in = tuple(e_count[i - 1] // v_count[i] for i in range(1, n + 1))
         deg_out = tuple(e_count[i - 1] // v_count[i - 1] for i in range(1, n + 1))
-        sections = tuple(
-            (past[i] - past[i - 1], future[i - 1] - future[i]) for i in range(1, n + 1)
-        )
-        return cls(p, n, dim, past, future, v_count, e_count, deg_in, deg_out, sections)
+        return cls(p, n, dim, past, future, v_count, e_count, deg_in, deg_out)
 
 
 def profile(tof: TofGenerators) -> TrellisProfile:
@@ -162,7 +158,6 @@ class StabilizerCode:
     k: int
     stabilizers: tuple[PauliString, ...]
     logical_gens: tuple[PauliString, ...]
-    qudit_order: tuple[int, ...]
     name: str | None = None
     distance: int | None = None
 
@@ -316,7 +311,6 @@ def new_code(
         k=k,
         stabilizers=tuple(stabilizers),
         logical_gens=tuple(logical_gens),
-        qudit_order=tuple(range(1, n + 1)),
         name=name,
         distance=distance,
     )
@@ -331,15 +325,10 @@ def permute(code: StabilizerCode, order: list[int]) -> StabilizerCode:
     def perm(P: PauliString) -> PauliString:
         return PauliString(P.p, P.x[idx], P.z[idx])
 
-    return StabilizerCode(
-        p=code.p,
-        n=code.n,
-        k=code.k,
+    return replace(
+        code,
         stabilizers=tuple(perm(g) for g in code.stabilizers),
         logical_gens=tuple(perm(g) for g in code.logical_gens),
-        qudit_order=tuple(order),
-        name=code.name,
-        distance=code.distance,
     )
 
 

@@ -122,13 +122,15 @@ def _viterbi_arrays(
     shift is applied on the fly to each edge label.  Returns the x and z
     exponent arrays of the minimum-weight corrections and their weights.
     Each edge's weight is read through the section's shift-symbol label
-    table, and each target keeps the first of its in-edges that reaches
-    the minimum, so ties resolve to the smallest (source, label) pair by
-    construction of the edge ordering.  That holds only for float64-equal
-    path sums: corrections of equal Hamming weight usually sum their -log
-    weights in different orders, so rounding picks the winner (on surface
-    d = 5 ``full`` at depolarizing p = 0.1, exact Hamming-unit weights moved
-    failures from 4,876 to 5,088 of 65,536 errors).
+    table ``shifted_labels``, and the traceback reads each chosen edge's
+    label from the same row.  Each target keeps the first of its in-edges
+    that reaches the minimum, so ties resolve to the smallest (source,
+    label) pair by construction of the edge ordering.  That holds only for
+    float64-equal path sums: corrections of equal Hamming weight usually
+    sum their -log weights in different orders, so rounding picks the
+    winner (on surface d = 5 ``full`` at depolarizing p = 0.1, exact
+    Hamming-unit weights moved failures from 4,876 to 5,088 of 65,536
+    errors).
     """
     p, n = t.p, t.n
     count = shift_x.shape[0]
@@ -137,13 +139,12 @@ def _viterbi_arrays(
     dist = np.zeros((count, 1))
     back: list[np.ndarray] = []
     for i, sec in enumerate(t.sections):
-        v_next = t.layers[i + 1].size
-        deg = sec.size // v_next
+        deg = sec.deg_in
         cost = flat[i][sec.shifted_labels[sym[:, i]]]
         cost += dist[:, sec.source]
-        cost = cost.reshape(count, v_next, deg)
+        cost = cost.reshape(count, t.layers[i + 1].size, deg)
         dist = cost[:, :, 0].copy()
-        arg = np.zeros((count, v_next), dtype=np.min_scalar_type(deg - 1))
+        arg = np.zeros(dist.shape, dtype=np.min_scalar_type(deg - 1))
         for j in range(1, deg):
             better = cost[:, :, j] < dist
             np.copyto(dist, cost[:, :, j], where=better)
@@ -156,10 +157,8 @@ def _viterbi_arrays(
     rows = np.arange(count)
     for i in range(n - 1, -1, -1):
         sec = t.sections[i]
-        deg = sec.size // t.layers[i + 1].size
-        eidx = cur * deg + back[i][rows, cur]
-        xs[:, i] = (sec.label[eidx, 0] + shift_x[:, i]) % p
-        zs[:, i] = (sec.label[eidx, 1] + shift_z[:, i]) % p
+        eidx = cur * sec.deg_in + back[i][rows, cur]
+        xs[:, i], zs[:, i] = np.divmod(sec.shifted_labels[sym[:, i], eidx], p)
         cur = sec.source[eidx]
     return xs, zs, total
 

@@ -22,6 +22,8 @@ _WILSON_Z = 1.959963984540054  # 95%
 _PATTERN_CHUNK = 1 << 16
 # rows of one run_montecarlo draw: the nontrivial ones are decoded at once
 _DRAW_ROWS = 4096
+# the kinds ChannelSpec accepts; the CLI offers them with hyphens
+CHANNEL_KINDS = ("depolarizing", "dephasing_z", "dephasing_x")
 
 
 class SimError(RuntimeError):
@@ -36,7 +38,7 @@ class ChannelSpec:
     p_phys: float
 
     def __post_init__(self):
-        if self.kind not in ("depolarizing", "dephasing_z", "dephasing_x"):
+        if self.kind not in CHANNEL_KINDS:
             raise SimError(f"unknown channel kind {self.kind!r}")
         if not 0.0 <= self.p_phys <= 1.0:
             raise SimError(f"physical rate {self.p_phys} outside [0, 1]")
@@ -52,10 +54,6 @@ class ChannelSpec:
             probs[1:, 0] = self.p_phys / (p - 1)
         probs[0, 0] = 1.0 - self.p_phys
         return probs
-
-    @property
-    def single_axis(self) -> bool:
-        return self.kind in ("dephasing_z", "dephasing_x")
 
 
 @dataclass(frozen=True)
@@ -130,13 +128,10 @@ def sample_error(
             return err
 
 
-def _channel_axes(kind: str, pat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, z) exponents of enumerated patterns: their digits on the channel's axes."""
-    if kind == "dephasing_z":
-        return np.zeros_like(pat), pat
-    if kind == "dephasing_x":
-        return pat, np.zeros_like(pat)
-    return pat[:, :n], pat[:, n:]
+def _split_axes(pat: np.ndarray, excited: tuple[bool, bool], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, z) exponents of enumerated patterns: n digits per excited axis, X first."""
+    zero = np.zeros((pat.shape[0], n), dtype=pat.dtype)
+    return (pat[:, :n] if excited[0] else zero), (pat[:, pat.shape[1] - n :] if excited[1] else zero)
 
 
 def exact_rate(
@@ -148,8 +143,8 @@ def exact_rate(
 ) -> float:
     """Exact logical failure probability by error-pattern enumeration.
 
-    Single-axis channels enumerate p^n patterns (cap n such that
-    p^n <= 2^26); general channels enumerate p^(2n) (cap 2^20 patterns).
+    A pattern has n digits per axis the channel excites: p^n patterns for
+    one axis (cap 2^26), p^(2n) for both (cap 2^20).
     A syndrome is linear in the pattern, so the channel's syndromes are the
     span of its unit patterns' syndromes.  One RREF of those lists that
     span in echelon order, and each syndrome in it is decoded once.  One
@@ -166,18 +161,18 @@ def exact_rate(
     pass ``trellises`` from ``build_trellises(..., max_edges=...)``.
     """
     n, p = code.n, code.p
-    if channel.single_axis:
-        if p**n > 2**26:
-            raise CapacityError(f"single-axis enumeration cap exceeded at n={n}")
-        bits = n
-    else:
-        if p ** (2 * n) > 2**20:
-            raise CapacityError(f"full-channel enumeration cap exceeded at n={n}")
-        bits = 2 * n
+    # the channel excites X if a label with a nonzero X-exponent is
+    # possible, and Z likewise; p_phys = 0 excites neither
+    probs = channel.site_probs(p)
+    excited = (bool(probs[1:, :].any()), bool(probs[:, 1:].any()))
+    bits = n * sum(excited)
+    cap = 2**20 if all(excited) else 2**26
+    if p**bits > cap:
+        raise CapacityError(f"enumeration cap of {cap} patterns exceeded at n={n}")
     if trellises is None:
         trellises = build_trellises(code, decoder)
     digit = np.min_scalar_type(p - 1)
-    unit = _channel_axes(channel.kind, np.eye(bits, dtype=digit), n)
+    unit = _split_axes(np.eye(bits, dtype=digit), excited, n)
     red, pivots, rk = ffield.rref(measure_syndromes(code, decoder, *unit), p)
     weights = mode_weights(code, decoder, channel)
     corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, ffield.span(red[:rk], p))
@@ -188,15 +183,14 @@ def exact_rate(
     fails = np.zeros(n + 1, dtype=np.int64)
     for lo in range(0, total, _PATTERN_CHUNK):
         idx = np.arange(lo, min(lo + _PATTERN_CHUNK, total), dtype=np.int64)
-        err_x, err_z = _channel_axes(channel.kind, ((idx[:, None] // powers) % p).astype(digit), n)
+        err_x, err_z = _split_axes(((idx[:, None] // powers) % p).astype(digit), excited, n)
         rows = ffield.mixed_radix(measure_syndromes(code, decoder, err_x, err_z)[:, pivots], p)
         # each correction carries the pattern's syndrome: E - c is the residual
         fail = ((logical_flags(code, err_x, err_z) - corr_flags[rows]) % p).any(axis=1)
         weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
         fails += np.bincount(weight[fail], minlength=n + 1)
     # every nontrivial label an enumerated site takes is equally likely
-    probs = channel.site_probs(p)
-    keep, site = float(probs[0, 0]), float(probs[unit[0][0, 0], unit[1][0, 0]])
+    keep, site = float(probs[0, 0]), float(probs.ravel()[1:].max())
     return sum(int(c) * keep ** (n - w) * site**w for w, c in enumerate(fails))
 
 

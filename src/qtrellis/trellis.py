@@ -40,7 +40,7 @@ class CapacityError(TrellisError):
 
 @dataclass(frozen=True)
 class TrellisLayer:
-    """One vertex layer: ``p**rank(basis)`` partial-syndrome labels.
+    """One vertex layer: ``size = p**len(pivots)`` partial-syndrome labels.
 
     Vertex ``v`` has label ``digits(v) @ basis + offset`` where ``digits``
     are the base-p digits of the index read off at the pivot columns; the
@@ -48,42 +48,66 @@ class TrellisLayer:
     """
 
     p: int
-    size: int
     basis: np.ndarray
     pivots: tuple[int, ...]
     offset: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.p ** len(self.pivots)
 
     def labels(self) -> np.ndarray:
         """All vertex labels in index order, shape (size, label_width)."""
         return (ffield.span(self.basis, self.p) + self.offset) % self.p
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class TrellisSection:
-    """Edges of one section, sorted by (target, source, label)."""
+    """Edges of one section, sorted by (target, source, label).
+
+    Each edge stores its source and its flat label ``a*p + b`` alone.
+    Every target has ``deg_in`` consecutive in-edges, so ``target`` is the
+    read-only view ``arange(size) // deg_in``, and ``label`` the read-only
+    int64 pairs ``divmod(flat_label, p)``.
+    """
 
     p: int
     source: np.ndarray
-    target: np.ndarray
-    label: np.ndarray  # shape (size, 2): exponent pairs (a, b)
+    flat_label: np.ndarray  # dtype np.min_scalar_type(p*p - 1)
+    deg_in: int
 
     @property
     def size(self) -> int:
         return self.source.size
 
+    @property
+    def target(self) -> np.ndarray:
+        return _read_only(np.arange(self.size) // self.deg_in)
+
+    @property
+    def label(self) -> np.ndarray:
+        """Exponent pairs (a, b), shape (size, 2)."""
+        return _read_only(np.stack(np.divmod(self.flat_label.astype(np.int64), self.p), axis=1))
+
     @cached_property
     def shifted_labels(self) -> np.ndarray:
-        """Flat edge labels ``a*p + b`` under every shift symbol, shape (p*p, size).
+        """Flat edge labels under every shift symbol, shape (p*p, size).
 
         Row ``sx*p + sz`` holds the labels after adding (sx, sz) to each
-        edge.  The table depends on the structure only, so the decoder
-        builds it once per section; it is never serialized.
+        edge; row 0 is ``flat_label``.  Every shifted label is read from
+        this read-only table, which depends on the structure only, so the
+        decoder builds it once per section; it is never serialized.  A
+        shifted section's ``flat_label`` is a row of its base's table.
         """
         p = self.p
         sym = np.arange(p * p)[:, None]
-        a = (self.label[:, 0] + sym // p) % p
-        b = (self.label[:, 1] + sym % p) % p
-        return (a * p + b).astype(np.min_scalar_type(p * p - 1))
+        a, b = np.divmod(self.flat_label, p)
+        return _read_only(((a + sym // p) % p * p + (b + sym % p) % p).astype(self.flat_label.dtype))
 
 
 @dataclass(frozen=True)
@@ -195,7 +219,7 @@ def build(source, *, max_edges: int = 10**8) -> Trellis:
     left, right = np.array(tof.left), np.array(tof.right)
     m = L.shape[1]
 
-    layers = [TrellisLayer(p, 1, np.zeros((0, m), dtype=np.int64), (), np.zeros(m, dtype=np.int64))]
+    layers = [TrellisLayer(p, np.zeros((0, m), dtype=np.int64), (), np.zeros(m, dtype=np.int64))]
     sections = []
     for i in range(1, n + 1):
         act = (left <= i) & (i <= right)
@@ -210,10 +234,10 @@ def build(source, *, max_edges: int = 10**8) -> Trellis:
         # target holds a run of p**(rk - r) consecutive edges
         cols = [m + c for c in layers[-1].pivots] + [2 * m, 2 * m + 1]
         arr = ffield.span(red[:rk, cols].astype(np.int16), p)
-        tgt = np.arange(p**rk) // p ** (rk - r)
-        sections.append(TrellisSection(p, ffield.mixed_radix(arr[:, :-2], p), tgt, arr[:, -2:].astype(np.int64)))
+        flat = ffield.mixed_radix(arr[:, -2:], p).astype(np.min_scalar_type(p * p - 1))
+        sections.append(TrellisSection(p, ffield.mixed_radix(arr[:, :-2], p), flat, p ** (rk - r)))
         basis = red[:r, :m].copy()
-        layers.append(TrellisLayer(p, p**r, basis, tuple(pivots[:r]), np.zeros(m, dtype=np.int64)))
+        layers.append(TrellisLayer(p, basis, tuple(pivots[:r]), np.zeros(m, dtype=np.int64)))
     return Trellis(p, n, tuple(layers), tuple(sections), prof, L)
 
 
@@ -221,24 +245,20 @@ def shift(t: Trellis, pure_error: PauliString) -> Trellis:
     """Overlay a syndrome shift: vertex offsets change, structure is shared.
 
     Vertex labels pick up the pure error's partial syndrome and the edge
-    label of section i is multiplied by the error's site-i component.  The
-    base trellis is untouched; index arrays are shared, not copied.
+    labels of section i become the row of its ``shifted_labels`` for the
+    error's site-i component.  The base trellis is untouched; index arrays
+    are shared, not copied.
     """
     if pure_error.n != t.n or pure_error.p != t.p:
         raise TrellisError("shift string acts on a different system")
     p = t.p
     off = _partial_syndromes(pure_error.symplectic(), t.label_matrix, p)
     layers = [replace(layer, offset=(layer.offset + off[i]) % p) for i, layer in enumerate(t.layers)]
-    sections = []
-    for i, sec in enumerate(t.sections, start=1):
-        a, b = int(pure_error.x[i - 1]), int(pure_error.z[i - 1])
-        if a == 0 and b == 0:
-            sections.append(sec)
-        else:
-            sections.append(
-                replace(sec, label=(sec.label + np.array([a, b])) % p)
-            )
-    return replace(t, layers=tuple(layers), sections=tuple(sections))
+    sections = tuple(
+        replace(sec, flat_label=sec.shifted_labels[k]) if k else sec
+        for sec, k in zip(t.sections, (pure_error.x * p + pure_error.z).tolist())
+    )
+    return replace(t, layers=tuple(layers), sections=sections)
 
 
 def _product_profile(p1: TrellisProfile, p2: TrellisProfile) -> TrellisProfile:
@@ -264,25 +284,20 @@ def product(t1: Trellis, t2: Trellis) -> Trellis:
         basis[: l1.basis.shape[0], :m1] = l1.basis
         basis[l1.basis.shape[0] :, m1:] = l2.basis
         pivots = tuple(l1.pivots) + tuple(m1 + c for c in l2.pivots)
-        layers.append(
-            TrellisLayer(p, l1.size * l2.size, basis, pivots, np.concatenate([l1.offset, l2.offset]))
-        )
+        layers.append(TrellisLayer(p, basis, pivots, np.concatenate([l1.offset, l2.offset])))
     sections = []
     for i, (s1, s2) in enumerate(zip(t1.sections, t2.sections), start=1):
-        v2_prev = t2.layers[i - 1].size
-        v2_next = t2.layers[i].size
-        src = (s1.source[:, None] * v2_prev + s2.source[None, :]).ravel()
-        tgt = (s1.target[:, None] * v2_next + s2.target[None, :]).ravel()
-        lab = (s1.label[:, None, :] + s2.label[None, :, :]).reshape(-1, 2) % p
-        order_idx = np.lexsort((lab[:, 0] * p + lab[:, 1], src, tgt))
-        src, tgt, lab = src[order_idx], tgt[order_idx], lab[order_idx]
-        enc = lab[:, 0] * p + lab[:, 1]
-        dup = (
-            (np.diff(src) == 0) & (np.diff(tgt) == 0) & (np.diff(enc) == 0)
-        )
-        if dup.any():
+        v1, v2, d1, d2 = t1.layers[i].size, t2.layers[i].size, s1.deg_in, s2.deg_in
+        # key source * p*p + label of edge pair (e1, e2), whose target is
+        # (e1 // d1) * v2 + e2 // d2: one row per target, sorted within it
+        labels = s1.shifted_labels[s2.flat_label].T
+        key = (s1.source[:, None] * t2.layers[i - 1].size + s2.source) * (p * p) + labels
+        key = np.sort(key.reshape(v1, d1, v2, d2).transpose(0, 2, 1, 3).reshape(v1 * v2, d1 * d2), axis=1)
+        if (np.diff(key, axis=1) == 0).any():
             raise TrellisError(f"product is improper at section {i}")
-        sections.append(TrellisSection(p, src, tgt, lab))
+        key = key.ravel()
+        flat = (key % (p * p)).astype(labels.dtype)
+        sections.append(TrellisSection(p, key // (p * p), flat, d1 * d2))
     return Trellis(
         p,
         n,
@@ -344,10 +359,8 @@ def validate(t: Trellis) -> list[str]:
     for i, sec in enumerate(t.sections, start=1):
         if sec.size != prof.e_count[i - 1]:
             errors.append(f"section {i}: {sec.size} edges, profile says {prof.e_count[i - 1]}")
-        enc = (sec.target * (t.layers[i - 1].size + 1) + sec.source) * (t.p**2) + (
-            sec.label[:, 0] * t.p + sec.label[:, 1]
-        )
-        if np.unique(enc).size != sec.size:
+        pair = sec.target * (t.layers[i - 1].size + 1) + sec.source
+        if np.unique(pair * t.p**2 + sec.flat_label).size != sec.size:
             errors.append(f"section {i}: duplicate (source, label, target) triple")
         din = np.bincount(sec.target, minlength=t.layers[i].size)
         dout = np.bincount(sec.source, minlength=t.layers[i - 1].size)
@@ -359,7 +372,6 @@ def validate(t: Trellis) -> list[str]:
             errors.append(f"section {i}: non-uniform in-degree")
         if np.unique(dout).size > 1:
             errors.append(f"section {i}: non-uniform out-degree")
-        pair = sec.target * (t.layers[i - 1].size + 1) + sec.source
         _, pair_counts = np.unique(pair, return_counts=True)
         if np.unique(pair_counts).size > 1:
             errors.append(f"section {i}: non-uniform parallel-edge multiplicity")
@@ -419,8 +431,8 @@ def serialize(t: Trellis) -> bytes:
     the profile's ``dim_past`` and ``dim_future``; per layer its size,
     rank, pivots, int16 basis and int16 offset; per section its edge
     count, int64 sources and int16 labels; and last the int16
-    ``(2n, m)`` label matrix.  Targets are not stored: a section sorted
-    by target with a uniform in-degree has targets ``arange(count) // deg``.
+    ``(2n, m)`` label matrix.  Targets are implied, on disk as in memory:
+    a section sorted by target has targets ``arange(count) // deg_in``.
     """
     out = bytearray()
     out += _MAGIC
@@ -458,7 +470,7 @@ class _Reader:
 
 
 def deserialize(data: bytes) -> Trellis:
-    """Inverse of :func:`serialize`; rebuilds each section's targets from the profile.
+    """Inverse of :func:`serialize`; each section's in-degree comes from the profile.
 
     Only version 2 is read: a stream of another version, such as a version-1
     file, raises TrellisError naming it, and is rebuilt with ``qtrellis build``.
@@ -495,21 +507,21 @@ def deserialize(data: bytes) -> Trellis:
         pivots = r.unpack(f"<{rk}I")
         basis = np.frombuffer(r.take(2 * rk * m), dtype=np.int16).reshape(rk, m).astype(np.int64)
         offset = np.frombuffer(r.take(2 * m), dtype=np.int16).astype(np.int64)
-        layers.append(TrellisLayer(p, size, basis, pivots, offset))
+        layers.append(TrellisLayer(p, basis, pivots, offset))
     sections = []
     for i in range(n):
         (count,) = r.unpack("<Q")
         check_size(f"section {i + 1}", count, dim - past[i] - future[i + 1])
         src = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
-        lab = np.frombuffer(r.take(4 * count), dtype=np.int16).reshape(count, 2).astype(np.int64)
+        lab = np.frombuffer(r.take(4 * count), dtype=np.int16).reshape(count, 2)
         if src.min() < 0 or src.max() >= layers[i].size:
             raise TrellisError(f"section {i + 1}: source index outside its layer")
         if lab.min() < 0 or lab.max() >= p:
             raise TrellisError(f"section {i + 1}: label outside [0, p)")
+        flat = ffield.mixed_radix(lab, p).astype(np.min_scalar_type(p * p - 1))
         # the profile makes the in-degree p**(past[i + 1] - past[i]), a
         # whole number, so the sorted targets are exact
-        tgt = np.arange(count) // (count // layers[i + 1].size)
-        sections.append(TrellisSection(p, src, tgt, lab))
+        sections.append(TrellisSection(p, src, flat, p ** (past[i + 1] - past[i])))
     L = np.frombuffer(r.take(2 * 2 * n * m), dtype=np.int16).reshape(2 * n, m).astype(np.int64)
     # every size matched its exponent above, so the profile is exact
     prof = TrellisProfile.from_dims(p, n, dim, past, future)

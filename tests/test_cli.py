@@ -85,6 +85,22 @@ def test_simulate_then_fit(runner, tmp_path):
     assert "at least three distances" in result.output
 
 
+def test_simulate_accepts_every_channel_kind(runner, tmp_path):
+    """The choices are the channel kinds ChannelSpec accepts, dephasing-x included."""
+    out = tmp_path / "results.csv"
+    result = runner.invoke(
+        main,
+        [
+            "simulate", "--code", "steane", "--channel", "dephasing-x", "--p-min", "0.1",
+            "--p-max", "0.1", "--p-step", "0.1", "--samples", "200", "--decoder", "css",
+            "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [row["channel"] for row in rows] == ["dephasing_x"]
+
+
 @pytest.mark.parametrize(
     "p_min, p_max, p_step",
     [("0.05", "0.1", "0"), ("0.05", "0.1", "-0.01"), ("0.1", "0.05", "0.01")],

@@ -38,8 +38,12 @@ def test_channel_spec_validation():
     assert np.isclose(probs[1, 1], 0.1)
     z_probs = ChannelSpec("dephasing_z", 0.2).site_probs()
     assert np.isclose(z_probs[0, 1], 0.2) and z_probs[1, 0] == 0.0
-    assert ChannelSpec("dephasing_z", 0.2).single_axis
-    assert not ChannelSpec("depolarizing", 0.2).single_axis
+    # the excited axes are the support of site_probs: (any X-exponent, any Z-exponent)
+    supports = {"depolarizing": (True, True), "dephasing_z": (False, True), "dephasing_x": (True, False)}
+    for kind, excited in supports.items():
+        probs = ChannelSpec(kind, 0.2).site_probs(3)
+        assert (probs[1:, :].any(), probs[:, 1:].any()) == excited
+        assert not ChannelSpec(kind, 0.0).site_probs(3).ravel()[1:].any()
     with pytest.raises(SimError):
         ChannelSpec("depolarizing", 1.5)
     with pytest.raises(SimError):
@@ -103,6 +107,12 @@ def test_exact_rate_does_not_depend_on_chunking(monkeypatch):
         monkeypatch.setattr(sim_mod, "_PATTERN_CHUNK", chunk)
         assert exact_rate(code, channel, "css", trellises=trellises) == default
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", sim_mod.CHANNEL_KINDS)
+def test_exact_rate_is_zero_without_noise(kind):
+    """At p_phys = 0 no axis is excited: the one pattern, the identity, never fails."""
+    assert exact_rate(code_mod.builtin("steane"), ChannelSpec(kind, 0.0)) == 0.0
 
 
 # float.hex of exact_rate, pinned so that a change in tie order shows

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,15 +41,14 @@ def trivial_trellis(p: int, n: int) -> Trellis:
     prof = TrellisProfile(
         p, n, 0,
         (0,) * (n + 1), (0,) * (n + 1), (1,) * (n + 1),
-        (1,) * n, (1,) * n, (1,) * n, ((0, 0),) * n,
+        (1,) * n, (1,) * n, (1,) * n,
     )
     layers = tuple(
-        TrellisLayer(p, 1, np.zeros((0, 0), dtype=np.int64), (), np.zeros(0, dtype=np.int64))
+        TrellisLayer(p, np.zeros((0, 0), dtype=np.int64), (), np.zeros(0, dtype=np.int64))
         for _ in range(n + 1)
     )
-    zero = np.zeros(1, dtype=np.int64)
     sections = tuple(
-        TrellisSection(p, zero, zero, np.zeros((1, 2), dtype=np.int64))
+        TrellisSection(p, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.uint8), 1)
         for _ in range(n)
     )
     return Trellis(p, n, layers, sections, prof, np.zeros((2 * n, 0), dtype=np.int64))
@@ -270,6 +269,28 @@ def test_build_bytes_match_golden_digests(name, d, part):
     assert hashlib.sha256(_v1_bytes(build(_golden_source(name, d, part)))).hexdigest() == _GOLDEN[name, d, part]
 
 
+@pytest.mark.parametrize("name,d,part", sorted(_GOLDEN, key=str))
+def test_targets_and_label_pairs_are_read_only_views(name, d, part):
+    """``target`` is ``arange(size) // deg_in``, ``label`` the int64 pairs ``divmod(flat_label, p)``."""
+    t = build(_golden_source(name, d, part))
+    for sec, deg in zip(t.sections, t.profile.deg_in):
+        assert sec.deg_in == deg
+        assert np.array_equal(sec.target, np.arange(sec.size) // deg)
+        a, b = np.divmod(sec.flat_label, t.p)
+        assert sec.label.dtype == np.int64 and np.array_equal(sec.label, np.stack([a, b], axis=1))
+        assert not sec.target.flags.writeable and not sec.label.flags.writeable
+
+
+def test_an_edge_stores_its_source_and_flat_label_alone():
+    """9 B an edge at p = 2 before any decode: an int64 source and a uint8 flat label."""
+    assert [f.name for f in fields(TrellisSection)] == ["p", "source", "flat_label", "deg_in"]
+    assert [f.name for f in fields(TrellisLayer)] == ["p", "basis", "pivots", "offset"]
+    t = build(code_mod.builtin("codetable_20_4_6"))
+    # every array a section holds, a cached one included
+    arrays = [a for sec in t.sections for a in vars(sec).values() if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in arrays) <= 9 * t.total_edges
+
+
 # ---------------------------------------------------------------------------
 # shifting
 
@@ -452,7 +473,7 @@ def test_census_all_builtins():
 
 def test_validate_detects_missing_edge(t513):
     sec = t513.sections[2]
-    broken_sec = TrellisSection(2, sec.source[:-1], sec.target[:-1], sec.label[:-1])
+    broken_sec = TrellisSection(2, sec.source[:-1], sec.flat_label[:-1], sec.deg_in)
     broken = replace(
         t513, sections=t513.sections[:2] + (broken_sec,) + t513.sections[3:]
     )
@@ -536,13 +557,23 @@ _STEANE_BLOB = serialize(_STEANE_TRELLIS)
 
 
 def _with_edge_entry(t: Trellis, i: int, field: str, j: int, value: int) -> bytes:
-    """The serialized trellis with one entry of section i's edge array replaced."""
+    """The serialized trellis with one entry of section i's int64 sources or int16 labels replaced."""
+    m = t.label_matrix.shape[1]
+    pos = 5 + struct.calcsize("<HHIIH") + 8 * (t.n + 1)
+    pos += sum(12 + 4 * r + 2 * r * m + 2 * m for r in (layer.basis.shape[0] for layer in t.layers))
+    # a section is its count, its int64 sources and its int16 label pairs
+    pos += sum(8 + 12 * sec.size for sec in t.sections[:i])
     sec = t.sections[i]
-    arr = getattr(sec, field).copy()
-    arr.reshape(-1)[j % arr.size] = value
-    sections = list(t.sections)
-    sections[i] = replace(sec, **{field: arr})
-    return serialize(replace(t, sections=tuple(sections)))
+    if field == "source":
+        fmt, arr, pos = "<q", sec.source, pos + 8
+    else:
+        fmt, arr, pos = "<h", sec.label, pos + 8 + 8 * sec.size
+    k = j % arr.size
+    pos += struct.calcsize(fmt) * k
+    blob = bytearray(serialize(t))
+    assert struct.unpack_from(fmt, blob, pos) == (arr.reshape(-1)[k],)
+    struct.pack_into(fmt, blob, pos, value)
+    return bytes(blob)
 
 
 @settings(max_examples=150, deadline=None)
