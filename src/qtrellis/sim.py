@@ -1,25 +1,25 @@
-"""Noise channels, exact enumeration, Monte Carlo harness, threshold fits.
+"""Noise channels, exact rates from coset weight enumerators, Monte Carlo, threshold fits.
 
 Sampling is vectorized and fully deterministic: every grid point derives
 its generator from (seed, point index), so results do not depend on how
-the work is distributed.
+the work is distributed.  ``exact_rate`` caps its work, not its patterns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ffield
-from .pauli import PauliString
+from .pauli import PauliString, from_symplectic, symplectic_matrix
 from .code import StabilizerCode, css_split
 from .trellis import Trellis, CapacityError, build
-from .decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights
+from .decode import _chunk_rows, decode_syndromes, logical_flags, measure_syndromes, mode_weights
 
 _WILSON_Z = 1.959963984540054  # 95%
-# error patterns enumerated at once by exact_rate: a (chunk, 2n) int64
-# digit temporary is 21 MB at n = 20
-_PATTERN_CHUNK = 1 << 16
+# exact_rate's cap on syndromes x S_ch edges x (n + 1); 6.6.6 d = 7 takes 1.1e10
+_EXACT_WORK = 2**35
 # rows of one run_montecarlo draw: the nontrivial ones are decoded at once
 _DRAW_ROWS = 4096
 # the kinds ChannelSpec accepts; the CLI offers them with hyphens
@@ -128,10 +128,21 @@ def sample_error(
             return err
 
 
-def _split_axes(pat: np.ndarray, excited: tuple[bool, bool], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, z) exponents of enumerated patterns: n digits per excited axis, X first."""
-    zero = np.zeros((pat.shape[0], n), dtype=pat.dtype)
-    return (pat[:, :n] if excited[0] else zero), (pat[:, pat.shape[1] - n :] if excited[1] else zero)
+def _coset_weights(t: Trellis, cx: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """Weight enumerators of the cosets ``c + G``, G the group of ``t``, shape (count, n + 1).
+
+    A forward pass over integer polynomials: lane w counts prefixes of weight w,
+    and an edge whose label shifted by ``c`` is not the identity moves them up one.
+    """
+    count, n = cx.shape
+    sym = cx * t.p + cz
+    lanes = np.broadcast_to(np.eye(1, n + 1, dtype=np.int64), (count, 1, n + 1))  # the root holds 1
+    for i, sec in enumerate(t.sections):
+        edge = lanes[:, sec.source]
+        up = sec.shifted_labels[sym[:, i]] != 0
+        edge[up] = np.roll(edge[up], 1, axis=1)
+        lanes = edge.reshape(count, t.layers[i + 1].size, sec.deg_in, n + 1).sum(axis=2)
+    return lanes[:, 0]
 
 
 def exact_rate(
@@ -141,57 +152,47 @@ def exact_rate(
     *,
     trellises: dict[str, Trellis] | None = None,
 ) -> float:
-    """Exact logical failure probability by error-pattern enumeration.
+    """Exact logical failure probability from coset weight enumerators.
 
-    A pattern has n digits per axis the channel excites: p^n patterns for
-    one axis (cap 2^26), p^(2n) for both (cap 2^20).
-    A syndrome is linear in the pattern, so the channel's syndromes are the
-    span of its unit patterns' syndromes.  One RREF of those lists that
-    span in echelon order, and each syndrome in it is decoded once.  One
-    pass over the patterns then finds each pattern's row from its
-    syndrome's pivot digits, the rank of a vector in an echelon span.  A
-    pattern E fails when ``E - c`` acts logically, ``c`` being the decoded
-    correction, which carries E's syndrome.  The failing patterns are
-    counted exactly per Hamming weight w, and the rate is
-    ``sum_w count[w] * (1 - r)**(n - w) * site**w``, so it does not depend
-    on how the patterns are chunked.  ``"block"`` always exceeds the
-    cap, since it decodes level-2 Steane (2^49 single-axis patterns), and
-    raises CapacityError; the exhaustive check of its radius is
-    ``test_block_decode_low_weight_z_errors``.  To cap the trellis size,
-    pass ``trellises`` from ``build_trellises(..., max_edges=...)``.
+    Each syndrome s the channel can produce is decoded once, to ``c(s)``, and
+    an error E of syndrome s is corrected exactly when ``E - c(s)`` lies in
+    ``S_ch``, the stabilizers on the excited axes alone.  So the successes of
+    weight w are the weight-w members of the cosets ``c(s) + S_ch``, counted
+    by :func:`_coset_weights`, and the rest of the ``C(n, w) * labels**w``
+    errors of weight w fail.  Work (syndromes x ``S_ch`` edges x (n + 1))
+    beyond ``_EXACT_WORK``, or counts beyond int64, raise CapacityError before
+    any trellis is built; ``"block"`` always does, with 2^24 Z-noise syndromes
+    on level-2 Steane.  ``trellises`` reuses or caps the decoder's trellises.
     """
-    n, p = code.n, code.p
-    # the channel excites X if a label with a nonzero X-exponent is
-    # possible, and Z likewise; p_phys = 0 excites neither
+    n, p, G = code.n, code.p, symplectic_matrix(list(code.stabilizers))
+    # X is excited if a label with a nonzero X-exponent is possible, Z likewise
     probs = channel.site_probs(p)
-    excited = (bool(probs[1:, :].any()), bool(probs[:, 1:].any()))
-    bits = n * sum(excited)
-    cap = 2**20 if all(excited) else 2**26
-    if p**bits > cap:
-        raise CapacityError(f"enumeration cap of {cap} patterns exceeded at n={n}")
+    excited = np.repeat([probs[1:, :].any(), probs[:, 1:].any()], n)
+    unit = np.eye(2 * n, dtype=np.int64)[excited]
+    red, _, rk = ffield.rref(measure_syndromes(code, decoder, unit[:, :n], unit[:, n:]), p)
+    stab = ffield.kernel(G[:, ~excited].T, p) @ G % p
+    budget = _EXACT_WORK // (p**rk * (n + 1))
+    # a trellis on n sites has n edges or more; p**(rk + len(stab)) errors are corrected
+    if budget < n or p ** (rk + len(stab)) >= 2**63:
+        raise CapacityError(f"exact_rate exceeds its work cap of {_EXACT_WORK} at n={n}, or int64 counts")
+    t = build([from_symplectic(row, p) for row in stab], max_edges=budget) if len(stab) else None
     if trellises is None:
         trellises = build_trellises(code, decoder)
-    digit = np.min_scalar_type(p - 1)
-    unit = _split_axes(np.eye(bits, dtype=digit), excited, n)
-    red, pivots, rk = ffield.rref(measure_syndromes(code, decoder, *unit), p)
     weights = mode_weights(code, decoder, channel)
-    corr_x, corr_z, _ = decode_syndromes(code, trellises, decoder, weights, ffield.span(red[:rk], p))
-    corr_flags = logical_flags(code, corr_x, corr_z)
-    # count the failing patterns of each Hamming weight exactly
-    total = p**bits
-    powers = p ** np.arange(bits, dtype=np.int64)
-    fails = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, total, _PATTERN_CHUNK):
-        idx = np.arange(lo, min(lo + _PATTERN_CHUNK, total), dtype=np.int64)
-        err_x, err_z = _split_axes(((idx[:, None] // powers) % p).astype(digit), excited, n)
-        rows = ffield.mixed_radix(measure_syndromes(code, decoder, err_x, err_z)[:, pivots], p)
-        # each correction carries the pattern's syndrome: E - c is the residual
-        fail = ((logical_flags(code, err_x, err_z) - corr_flags[rows]) % p).any(axis=1)
-        weight = ((err_x != 0) | (err_z != 0)).sum(axis=1)
-        fails += np.bincount(weight[fail], minlength=n + 1)
-    # every nontrivial label an enumerated site takes is equally likely
+    step = _chunk_rows((max(sec.size for sec in t.sections) if t else 1) * (n + 1))
+    powers = p ** np.arange(rk - 1, -1, -1, dtype=np.int64)
+    successes = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, p**rk, step):
+        S = (np.arange(lo, min(lo + step, p**rk))[:, None] // powers % p) @ red[:rk] % p
+        cx, cz, _ = decode_syndromes(code, trellises, decoder, weights, S)
+        if t is None:  # each coset is its correction alone
+            successes += np.bincount(((cx != 0) | (cz != 0)).sum(axis=1), minlength=n + 1)
+        else:
+            successes += _coset_weights(t, cx, cz).sum(axis=0)
+    labels = int(np.count_nonzero(probs.ravel()[1:]))  # nontrivial ones, equally likely
     keep, site = float(probs[0, 0]), float(probs.ravel()[1:].max())
-    return sum(int(c) * keep ** (n - w) * site**w for w, c in enumerate(fails))
+    fails = (math.comb(n, w) * labels**w - int(s) for w, s in enumerate(successes))
+    return sum(c * keep ** (n - w) * site**w for w, c in enumerate(fails))
 
 
 def build_trellises(
@@ -232,8 +233,7 @@ def run_montecarlo(
     ``_DRAW_ROWS`` errors keeps its nontrivial ones, up to the count still
     needed, and decodes them from their syndromes alone before the next
     draw, so memory is bounded by one draw.  Draws of any size read the
-    same rows from the stream, so the output does not depend on it;
-    ``exact_rate`` instead decodes the whole syndrome span once.
+    same rows from the stream, so the output does not depend on it.
     """
     if samples <= 0:
         raise SimError("sample count must be positive")

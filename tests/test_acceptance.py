@@ -217,19 +217,20 @@ def test_criterion_7_surface_threshold():
     fit = fit_threshold(curves)
     assert abs(fit.p_th - 0.10) <= 0.01, f"p_th = {fit.p_th:.4f}"
     assert 1.0 <= fit.nu <= 2.2, f"nu = {fit.nu:.3f}"
-    # d = 3 exact enumeration agrees with Monte Carlo within 3 sigma everywhere
-    code, trellises = trellis_sets[3]
-    for pt in curves[3]:
-        exact = exact_rate(
-            code, ChannelSpec("dephasing_z", pt.p_phys), "css", trellises=trellises
-        )
-        p_nt = 1.0 - (1.0 - pt.p_phys) ** code.n
-        sigma = p_nt * np.sqrt(
-            max(pt.rate_cond * (1.0 - pt.rate_cond), 1e-12) / pt.samples
-        )
-        assert abs(pt.rate_uncond - exact) < 3 * sigma, (
-            f"p={pt.p_phys}: mc={pt.rate_uncond:.5f} exact={exact:.5f}"
-        )
+    # d = 3 and 5 exact rates agree with Monte Carlo within 3 sigma everywhere
+    for d in (3, 5):
+        code, trellises = trellis_sets[d]
+        for pt in curves[d]:
+            exact = exact_rate(
+                code, ChannelSpec("dephasing_z", pt.p_phys), "css", trellises=trellises
+            )
+            p_nt = 1.0 - (1.0 - pt.p_phys) ** code.n
+            sigma = p_nt * np.sqrt(
+                max(pt.rate_cond * (1.0 - pt.rate_cond), 1e-12) / pt.samples
+            )
+            assert abs(pt.rate_uncond - exact) < 3 * sigma, (
+                f"d={d} p={pt.p_phys}: mc={pt.rate_uncond:.5f} exact={exact:.5f}"
+            )
 
 
 def test_criterion_8_property_suites():

@@ -13,6 +13,7 @@ from qtrellis import sim as sim_mod
 from qtrellis.code import profile
 from qtrellis.decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights
 from qtrellis.pauli import PauliString
+from qtrellis.trellis import CapacityError
 from qtrellis.sim import (
     ChannelSpec,
     DataPoint,
@@ -97,15 +98,26 @@ def test_exact_rate_matches_montecarlo_d3():
 
 
 def test_exact_rate_does_not_depend_on_chunking(monkeypatch):
-    """Failures are counted per weight in integers, so the chunk size drops out."""
+    """Successes are counted per weight in integers, so the syndrome chunk size drops out."""
     code = code_mod.builtin("rotated_surface", 3)
     trellises = build_trellises(code, "css")
-    # 2^18 depolarizing patterns in 256 chunks, 2^9 dephasing ones in 8
-    for kind, chunk in (("depolarizing", 1 << 10), ("dephasing_z", 1 << 6)):
+    calls = []
+
+    def counted(t, cx, cz, coset_weights=sim_mod._coset_weights):
+        calls.append(len(cx))
+        return coset_weights(t, cx, cz)
+
+    # a chunk holds budget // (widest stabilizer-trellis section x 10 lanes)
+    # syndromes: 2 of the 256 depolarizing ones (widest 16), 5 of the 16
+    # dephasing ones (widest 8)
+    for kind, chunks in (("depolarizing", 128), ("dephasing_z", 4)):
         channel = ChannelSpec(kind, 0.1)
         default = exact_rate(code, channel, "css", trellises=trellises)
-        monkeypatch.setattr(sim_mod, "_PATTERN_CHUNK", chunk)
+        calls.clear()
+        monkeypatch.setattr(decode_mod, "_EDGE_BUDGET", 400)
+        monkeypatch.setattr(sim_mod, "_coset_weights", counted)
         assert exact_rate(code, channel, "css", trellises=trellises) == default
+        assert len(calls) == chunks
         monkeypatch.undo()
 
 
@@ -128,6 +140,8 @@ _GOLDEN_RATES = {
     ("rotated_surface", 3, "css", "dephasing_z", 0.03): "0x1.d78774ad5366bp-7",
     ("rotated_surface", 3, "css", "dephasing_z", 0.075): "0x1.326c11fadab86p-4",
     ("color_666", 5, "css", "dephasing_z", 0.045): "0x1.327eaa9661b7ep-6",
+    # computed by enumerating all 2^25 patterns; the coset count does far less work
+    ("rotated_surface", 5, "css", "dephasing_z", 0.1): "0x1.fd9bd235e01dep-4",
 }
 
 
@@ -146,6 +160,38 @@ def test_exact_rate_of_self_dual_codes_is_axis_symmetric(name, d, p_phys):
     trellises = build_trellises(code, "css")
     z_rate = exact_rate(code, ChannelSpec("dephasing_z", p_phys), "css", trellises=trellises)
     assert exact_rate(code, ChannelSpec("dephasing_x", p_phys), "css", trellises=trellises) == z_rate
+
+
+def test_exact_rate_of_a_length_20_code_under_depolarizing_noise():
+    """[[20,13,3]] has 4^20 depolarizing patterns but 2^7 syndromes; Monte Carlo agrees."""
+    code = code_mod.builtin("codetable_20_13_3")
+    trellises = build_trellises(code, "full")
+    exact = exact_rate(code, ChannelSpec("depolarizing", 0.1), "full", trellises=trellises)
+    (pt,) = run_montecarlo(code, trellises, "depolarizing", np.array([0.1]), 20000, 43, decoder="full")
+    p_nt = 1.0 - 0.9**code.n
+    sigma = p_nt * np.sqrt(pt.rate_cond * (1.0 - pt.rate_cond) / pt.samples)
+    assert abs(pt.rate_uncond - exact) < 3 * sigma
+
+
+def test_exact_rate_refuses_the_block_decoder():
+    """Level-2 Steane has 2^24 Z-noise syndromes: over the work cap whatever its stabilizer trellis."""
+    code = code_mod.builtin("steane_level2")
+    with pytest.raises(CapacityError, match="work cap"):
+        exact_rate(code, ChannelSpec("dephasing_z", 0.05), "block")
+
+
+def test_exact_rate_refuses_counts_beyond_int64():
+    """A length-70 repetition code under Z noise has one syndrome but 2^69 corrected errors.
+
+    Its weight-34 count, C(70, 34), would wrap in int64 and skew the rate, so
+    the case is refused for its counts, not for its work.
+    """
+    from qtrellis.pauli import parse_pauli
+
+    n = 70
+    code = code_mod.new_code(2, [parse_pauli("I" * i + "ZZ" + "I" * (n - i - 2)) for i in range(n - 1)])
+    with pytest.raises(CapacityError, match="int64"):
+        exact_rate(code, ChannelSpec("dephasing_z", 0.1), "css")
 
 
 def _brute_force_rate(code, decoder, channel) -> float:
