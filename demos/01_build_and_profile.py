@@ -14,7 +14,6 @@ import numpy as np
 
 from qtrellis import builtin, build, census, validate
 from qtrellis.code import css_split, greedy_numbering, permute, profile
-from qtrellis.trellis import enumerate_paths
 
 # ---------------------------------------------------------------------------
 # The [[5,1,3]] code: profile prediction vs. the built trellis
@@ -33,11 +32,18 @@ assert t.total_edges == prof.total_edges == 104
 assert not validate(t), "a freshly built trellis has no structural defects"
 
 # The paths of the trellis are the 2^(n+k) = 64 normalizer elements.
-paths = list(enumerate_paths(t))
-print("  distinct paths:", len(paths), "(= 2^(n+k))")
+# Count them forward: a vertex's path count is the sum over its in-edges
+# of their sources' counts.
+count = np.ones(1)
+for sec in t.sections:
+    count = np.bincount(sec.target, weights=count[sec.source])
+assert count[0] == 2 ** (code.n + code.k) == 64
+print("  root-to-sink paths:", int(count[0]), "(= 2^(n+k))")
 
-# The edge census groups sections by (starts, ends, overlap) and confirms
-# the expansion/merger identity  |mergers| = |E| - |V| + 1.
+# The edge census classifies only a trellis that validate accepts: each
+# section a union of complete bipartite blocks.  It groups sections by
+# (starts, ends, overlap), and on such a trellis
+# |mergers| = |expansions| = |E| - |V| + 1.
 c = census(t)
 print("  section configurations:", len(c.counts))
 print("  expansions:", c.expansions, " mergers:", c.mergers,

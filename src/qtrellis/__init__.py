@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .pauli import PauliString, parse_pauli, format_pauli
 from .code import StabilizerCode, new_code, builtin, parse_code_file, write_code_file
-from .trellis import Trellis, build, census, validate, product, serialize, deserialize
+from .trellis import Trellis, build, census, validate, serialize, deserialize
 from .decode import (
     weights_from_channel,
     pure_error,
@@ -28,7 +28,6 @@ __all__ = [
     "build",
     "census",
     "validate",
-    "product",
     "serialize",
     "deserialize",
     "weights_from_channel",

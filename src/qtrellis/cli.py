@@ -1,6 +1,7 @@
 """Command-line front end: profile, build, census, decode, simulate, fit.
 
-Exit codes: 0 success, 2 validation error (including an empty ``simulate``
+Exit codes: 0 success, 2 validation error (including a ``--distance``
+given with a fixed built-in code or a code file; an empty ``simulate``
 grid; a ``fit`` input with fewer than three distances, fewer than four
 points at one distance, more than one decoder or channel, or more than one
 code at one distance; and a ``fit`` whose threshold or exponent lands on an
@@ -61,6 +62,8 @@ def _guard(fn):
 def _load_code(name: str, distance: int | None, order_file: str | None):
     if name in code_mod.BUILTIN_NAMES:
         c = code_mod.builtin(name, distance)
+    elif distance is not None:
+        raise CodeError("--distance applies only to a built-in code family")
     else:
         with open(name, encoding="utf-8") as handle:
             c = code_mod.parse_code_file(handle.read())
@@ -164,7 +167,8 @@ def census_cmd(trellis_file):
         click.echo(f"configuration (starts={cfg[0]}, ends={cfg[1]}, overlap={cfg[2]}): {cen.counts[cfg]}")
     click.echo(f"expansions: {cen.expansions}")
     click.echo(f"mergers: {cen.mergers}")
-    # census raises TrellisError when the identity fails
+    # census raises TrellisError on the first violation validate reports,
+    # and on a valid trellis both counts equal |E| - |V| + 1
     click.echo("identity |E| - |V| + 1: ok")
 
 

@@ -705,9 +705,11 @@ def builtin(name: str, parameter: int | None = None) -> StabilizerCode:
     """Construct a built-in code by name.
 
     Parameterized families (``rotated_surface``, ``color_666``,
-    ``color_488``) require an odd distance >= 3.
+    ``color_488``) require an odd distance >= 3; the fixed codes take none.
     """
     if name in _FIXED:
+        if parameter is not None:
+            raise CodeError(f"{name} takes no distance")
         return _FIXED[name]()
     if name not in _FAMILIES:
         raise CodeError(f"unknown built-in code {name!r}")

@@ -1,16 +1,19 @@
-"""Minimal syndrome trellises: construction, shifting, products, census.
+"""Minimal syndrome trellises: construction, shifting, validation, census.
 
 The trellis of a generator set is a layered directed multigraph whose
 root-to-sink paths are in bijection with the generated group.  Vertices at
 depth ``i`` carry partial syndromes against one check matrix; edges of
 section ``i`` carry the single-site exponent pair acting at position ``i``.
 Construction works for the full normalizer of a stabilizer code, for one
-axis of a CSS split, or for any explicit generator set.
+axis of a CSS split, or for any explicit generator set.  Every section of
+a minimal trellis is a union of complete bipartite blocks; ``validate``
+checks that structure against the profile, and ``census`` classifies only
+what it accepts.  A trellis serializes to a versioned binary stream.
 """
 from __future__ import annotations
 
-import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -148,8 +151,9 @@ class SectionCensus:
 
     A configuration ``(s, e, o)`` records the number of generators starting
     at the section, ending at it, and doing both (single-site generators,
-    which show up as parallel edges).  ``mergers`` counts incoming-degree
-    surplus and ``expansions`` outgoing surplus; both equal Σe − Σv + 1.
+    which show up as parallel edges).  ``mergers`` counts the in-degree
+    surplus Σ(e_i − v_i) and ``expansions`` the out-degree surplus
+    Σ(e_i − v_{i−1}); with one vertex at each end both equal Σe − Σv + 1.
     """
 
     sections: tuple[tuple[int, int, int], ...]
@@ -261,95 +265,42 @@ def shift(t: Trellis, pure_error: PauliString) -> Trellis:
     return replace(t, layers=tuple(layers), sections=sections)
 
 
-def _product_profile(p1: TrellisProfile, p2: TrellisProfile) -> TrellisProfile:
-    past = tuple(a + b for a, b in zip(p1.dim_past, p2.dim_past))
-    future = tuple(a + b for a, b in zip(p1.dim_future, p2.dim_future))
-    return TrellisProfile.from_dims(p1.p, p1.n, p1.dim + p2.dim, past, future)
-
-
-def product(t1: Trellis, t2: Trellis) -> Trellis:
-    """Trellis product: layerwise vertex pairs, label-multiplied edges.
-
-    Refuses when the result would be improper (two edge pairs collapsing
-    to the same (source, label, target) triple).
-    """
-    if t1.p != t2.p or t1.n != t2.n:
-        raise TrellisError("trellis product requires equal p and n")
-    p, n = t1.p, t1.n
-    layers = []
-    for l1, l2 in zip(t1.layers, t2.layers):
-        m1 = l1.basis.shape[1]
-        m2 = l2.basis.shape[1]
-        basis = np.zeros((l1.basis.shape[0] + l2.basis.shape[0], m1 + m2), dtype=np.int64)
-        basis[: l1.basis.shape[0], :m1] = l1.basis
-        basis[l1.basis.shape[0] :, m1:] = l2.basis
-        pivots = tuple(l1.pivots) + tuple(m1 + c for c in l2.pivots)
-        layers.append(TrellisLayer(p, basis, pivots, np.concatenate([l1.offset, l2.offset])))
-    sections = []
-    for i, (s1, s2) in enumerate(zip(t1.sections, t2.sections), start=1):
-        v1, v2, d1, d2 = t1.layers[i].size, t2.layers[i].size, s1.deg_in, s2.deg_in
-        # key source * p*p + label of edge pair (e1, e2), whose target is
-        # (e1 // d1) * v2 + e2 // d2: one row per target, sorted within it
-        labels = s1.shifted_labels[s2.flat_label].T
-        key = (s1.source[:, None] * t2.layers[i - 1].size + s2.source) * (p * p) + labels
-        key = np.sort(key.reshape(v1, d1, v2, d2).transpose(0, 2, 1, 3).reshape(v1 * v2, d1 * d2), axis=1)
-        if (np.diff(key, axis=1) == 0).any():
-            raise TrellisError(f"product is improper at section {i}")
-        key = key.ravel()
-        flat = (key % (p * p)).astype(labels.dtype)
-        sections.append(TrellisSection(p, key // (p * p), flat, d1 * d2))
-    return Trellis(
-        p,
-        n,
-        tuple(layers),
-        tuple(sections),
-        _product_profile(t1.profile, t2.profile),
-        np.hstack([t1.label_matrix, t2.label_matrix]),
-    )
-
-
 def census(t: Trellis) -> SectionCensus:
     """Classify every section's edge configuration and count mergers.
 
-    Verifies that the configuration arithmetic reproduces the section and
-    layer cardinalities and that mergers = expansions = Σe − Σv + 1.
+    Raises TrellisError with the first violation :func:`validate` reports.
+    On a valid trellis each section's starts and ends are read off the
+    profile and its overlap ``o`` off its parallel-edge multiplicity p**o.
     """
-    p = t.p
+    errors = validate(t)
+    if errors:
+        raise TrellisError(errors[0])
     prof = t.profile
     configs = []
-    mergers = 0
-    expansions = 0
     for i, sec in enumerate(t.sections, start=1):
         starts = prof.dim_future[i - 1] - prof.dim_future[i]
         ends = prof.dim_past[i] - prof.dim_past[i - 1]
-        pairs = len(set(zip(sec.source.tolist(), sec.target.tolist())))
-        if pairs == 0 or sec.size % pairs:
-            raise TrellisError(f"section {i}: non-uniform parallel edges")
-        q = sec.size // pairs
-        o = round(np.log(q) / np.log(p))
-        if p**o != q or o > min(starts, ends):
-            raise TrellisError(f"section {i}: invalid configuration")
-        if sec.size != t.layers[i - 1].size * p**starts:
-            raise TrellisError(f"section {i}: size mismatch with starts")
-        if sec.size != t.layers[i].size * p**ends:
-            raise TrellisError(f"section {i}: size mismatch with ends")
-        configs.append((starts, ends, o))
-        din = np.bincount(sec.target, minlength=t.layers[i].size)
-        dout = np.bincount(sec.source, minlength=t.layers[i - 1].size)
-        mergers += int((din - 1).sum())
-        expansions += int((dout - 1).sum())
-    identity = t.total_edges - t.total_vertices + 1
-    if mergers != identity or expansions != identity:
-        raise TrellisError("merger/expansion identity violated")
-    counts: dict[tuple[int, int, int], int] = {}
-    for cfg in configs:
-        counts[cfg] = counts.get(cfg, 0) + 1
-    return SectionCensus(tuple(configs), counts, mergers, expansions)
+        # a valid section repeats each source of a target's in-edges q times
+        q = np.count_nonzero(sec.source[: sec.deg_in] == sec.source[0])
+        configs.append((starts, ends, round(np.log(q) / np.log(t.p))))
+    mergers = t.total_edges - t.total_vertices + t.layers[0].size
+    expansions = t.total_edges - t.total_vertices + t.layers[-1].size
+    return SectionCensus(tuple(configs), dict(Counter(configs)), mergers, expansions)
 
 
 def validate(t: Trellis) -> list[str]:
-    """Structural checks against ``t.profile``; returns a list of violations (empty = valid)."""
+    """Structural checks against ``t.profile``; returns a list of violations (empty = valid).
+
+    Each section is checked in one vectorized pass, at every size: it has
+    the profile's edge count and in-degree, its sources and labels are in
+    range, no (source, label, target) triple repeats, each source of a
+    target's in-edges repeats the same number of times, and the edges form
+    complete bipartite blocks that cover the source layer with a uniform
+    out-degree.
+    The first violation of a section ends its checks.
+    """
     prof = t.profile
+    pp = t.p * t.p
     errors: list[str] = []
     if t.layers[0].size != 1 or t.layers[-1].size != 1:
         errors.append("terminal layers must hold exactly one vertex")
@@ -357,67 +308,36 @@ def validate(t: Trellis) -> list[str]:
         if layer.size != prof.v_count[i]:
             errors.append(f"layer {i}: {layer.size} vertices, profile says {prof.v_count[i]}")
     for i, sec in enumerate(t.sections, start=1):
-        if sec.size != prof.e_count[i - 1]:
-            errors.append(f"section {i}: {sec.size} edges, profile says {prof.e_count[i - 1]}")
-        pair = sec.target * (t.layers[i - 1].size + 1) + sec.source
-        if np.unique(pair * t.p**2 + sec.flat_label).size != sec.size:
+        n_src = t.layers[i - 1].size
+        # targets are arange(size) // deg_in, so these fix every in-degree
+        if (sec.size, sec.deg_in) != (prof.e_count[i - 1], prof.deg_in[i - 1]):
+            expect = f"{prof.e_count[i - 1]} of {prof.deg_in[i - 1]}"
+            errors.append(f"section {i}: {sec.size} edges of in-degree {sec.deg_in}, profile says {expect}")
+            continue
+        if sec.source.min() < 0 or sec.source.max() >= n_src or sec.flat_label.max() >= pp:
+            errors.append(f"section {i}: source outside layer {i - 1} or label outside [0, p*p)")
+            continue
+        # one row per target: its in-edges as source * p*p + label, sorted
+        key = np.sort((sec.source * pp + sec.flat_label).reshape(-1, sec.deg_in), axis=1)
+        if (np.diff(key, axis=1) == 0).any():
             errors.append(f"section {i}: duplicate (source, label, target) triple")
-        din = np.bincount(sec.target, minlength=t.layers[i].size)
-        dout = np.bincount(sec.source, minlength=t.layers[i - 1].size)
-        if din.size == 0 or din.min() < 1:
-            errors.append(f"section {i}: uncovered target vertex")
-        if dout.size == 0 or dout.min() < 1:
-            errors.append(f"section {i}: uncovered source vertex")
-        if np.unique(din).size > 1:
-            errors.append(f"section {i}: non-uniform in-degree")
-        if np.unique(dout).size > 1:
-            errors.append(f"section {i}: non-uniform out-degree")
-        _, pair_counts = np.unique(pair, return_counts=True)
-        if np.unique(pair_counts).size > 1:
-            errors.append(f"section {i}: non-uniform parallel-edge multiplicity")
-        if sec.size <= 20000:
-            errors.extend(_check_bipartite(sec, i))
-    return errors
-
-
-def _check_bipartite(sec: TrellisSection, i: int) -> list[str]:
-    """Exhaustively verify the complete-bipartite block structure."""
-    by_target: dict[int, set[int]] = {}
-    by_source: dict[int, set[int]] = {}
-    for s, tgt in zip(sec.source.tolist(), sec.target.tolist()):
-        by_target.setdefault(tgt, set()).add(s)
-        by_source.setdefault(s, set()).add(tgt)
-    for tgt, sources in by_target.items():
-        expect = by_source[next(iter(sources))]
-        for s in sources:
-            if by_source[s] != expect:
-                return [f"section {i}: bipartite block not completely connected"]
-        for tgt2 in expect:
-            if by_target[tgt2] != sources:
-                return [f"section {i}: bipartite block not completely connected"]
-    return []
-
-
-def enumerate_paths(t: Trellis):
-    """Yield every root-to-sink path as a PauliString (small trellises)."""
-    p, n = t.p, t.n
-    adj: list[dict[int, list[tuple[int, int, int]]]] = []
-    for sec in t.sections:
-        table: dict[int, list[tuple[int, int, int]]] = {}
-        for s, tgt, (a, b) in zip(
-            sec.source.tolist(), sec.target.tolist(), sec.label.tolist()
+            continue
+        src = key // pp
+        q = np.count_nonzero(src[0] == src[0, 0])
+        heads = src[:, ::q]
+        if (
+            sec.deg_in % q
+            or (src.reshape(len(src), -1, q) != heads[:, :, None]).any()
+            or (np.diff(heads, axis=1) <= 0).any()
         ):
-            table.setdefault(s, []).append((int(a), int(b), tgt))
-        adj.append(table)
-
-    def walk(depth: int, vertex: int, xs: list[int], zs: list[int]):
-        if depth == n:
-            yield PauliString(p, np.array(xs), np.array(zs))
-            return
-        for a, b, tgt in adj[depth].get(vertex, []):
-            yield from walk(depth + 1, tgt, xs + [a], zs + [b])
-
-    yield from walk(0, 0, [], [])
+            errors.append(f"section {i}: non-uniform parallel-edge multiplicity")
+            continue
+        # complete bipartite blocks: targets with equal source sets, the sets
+        # partitioning the source layer, each set shared by as many targets
+        blocks, counts = np.unique(heads, axis=0, return_counts=True)
+        if not np.array_equal(np.sort(blocks, axis=None), np.arange(n_src)) or np.unique(counts).size > 1:
+            errors.append(f"section {i}: not complete bipartite blocks covering layer {i - 1} evenly")
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -526,30 +446,3 @@ def deserialize(data: bytes) -> Trellis:
     # every size matched its exponent above, so the profile is exact
     prof = TrellisProfile.from_dims(p, n, dim, past, future)
     return Trellis(p, n, tuple(layers), tuple(sections), prof, L)
-
-
-def to_json(t: Trellis) -> str:
-    """Human-inspectable JSON export of the structure and vertex labels."""
-    doc = {
-        "p": t.p,
-        "n": t.n,
-        "layers": [
-            {
-                "size": layer.size,
-                "labels": layer.labels().tolist(),
-            }
-            for layer in t.layers
-        ],
-        "sections": [
-            {
-                "edges": [
-                    [int(s), [int(a), int(b)], int(tg)]
-                    for s, tg, (a, b) in zip(
-                        sec.source.tolist(), sec.target.tolist(), sec.label.tolist()
-                    )
-                ]
-            }
-            for sec in t.sections
-        ],
-    }
-    return json.dumps(doc)

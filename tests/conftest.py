@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from qtrellis import code as code_mod
 from qtrellis import ffield
+from qtrellis.code import TrellisProfile
 from qtrellis.pauli import PauliString, from_symplectic, mul, symplectic_matrix
+from qtrellis.trellis import Trellis, TrellisError, TrellisLayer, TrellisSection, serialize
 
 
 def group_elements(gens: list[PauliString]) -> set[PauliString]:
@@ -231,6 +234,101 @@ def reference_greedy_numbering(code) -> list[int]:
         if e < best_e:
             best_e, best_order = e, order
     return best_order
+
+
+# ---------------------------------------------------------------------------
+# trellis oracles: a second construction of the trellis, the product of
+# single-generator trellises (Ollivier & Tillich, PRA 74, 032304, 2006), and
+# a recursive walk over its paths; then an in-place edit of a stored trellis
+
+
+def _product_profile(p1: TrellisProfile, p2: TrellisProfile) -> TrellisProfile:
+    past = tuple(a + b for a, b in zip(p1.dim_past, p2.dim_past))
+    future = tuple(a + b for a, b in zip(p1.dim_future, p2.dim_future))
+    return TrellisProfile.from_dims(p1.p, p1.n, p1.dim + p2.dim, past, future)
+
+
+def product(t1: Trellis, t2: Trellis) -> Trellis:
+    """Trellis product: layerwise vertex pairs, label-multiplied edges.
+
+    Refuses when the result would be improper (two edge pairs collapsing
+    to the same (source, label, target) triple).
+    """
+    if t1.p != t2.p or t1.n != t2.n:
+        raise TrellisError("trellis product requires equal p and n")
+    p, n = t1.p, t1.n
+    layers = []
+    for l1, l2 in zip(t1.layers, t2.layers):
+        m1 = l1.basis.shape[1]
+        m2 = l2.basis.shape[1]
+        basis = np.zeros((l1.basis.shape[0] + l2.basis.shape[0], m1 + m2), dtype=np.int64)
+        basis[: l1.basis.shape[0], :m1] = l1.basis
+        basis[l1.basis.shape[0] :, m1:] = l2.basis
+        pivots = tuple(l1.pivots) + tuple(m1 + c for c in l2.pivots)
+        layers.append(TrellisLayer(p, basis, pivots, np.concatenate([l1.offset, l2.offset])))
+    sections = []
+    for i, (s1, s2) in enumerate(zip(t1.sections, t2.sections), start=1):
+        v1, v2, d1, d2 = t1.layers[i].size, t2.layers[i].size, s1.deg_in, s2.deg_in
+        # key source * p*p + label of edge pair (e1, e2), whose target is
+        # (e1 // d1) * v2 + e2 // d2: one row per target, sorted within it
+        labels = s1.shifted_labels[s2.flat_label].T
+        key = (s1.source[:, None] * t2.layers[i - 1].size + s2.source) * (p * p) + labels
+        key = np.sort(key.reshape(v1, d1, v2, d2).transpose(0, 2, 1, 3).reshape(v1 * v2, d1 * d2), axis=1)
+        if (np.diff(key, axis=1) == 0).any():
+            raise TrellisError(f"product is improper at section {i}")
+        key = key.ravel()
+        flat = (key % (p * p)).astype(labels.dtype)
+        sections.append(TrellisSection(p, key // (p * p), flat, d1 * d2))
+    return Trellis(
+        p,
+        n,
+        tuple(layers),
+        tuple(sections),
+        _product_profile(t1.profile, t2.profile),
+        np.hstack([t1.label_matrix, t2.label_matrix]),
+    )
+
+
+def enumerate_paths(t: Trellis):
+    """Yield every root-to-sink path as a PauliString (small trellises)."""
+    p, n = t.p, t.n
+    adj: list[dict[int, list[tuple[int, int, int]]]] = []
+    for sec in t.sections:
+        table: dict[int, list[tuple[int, int, int]]] = {}
+        for s, tgt, (a, b) in zip(
+            sec.source.tolist(), sec.target.tolist(), sec.label.tolist()
+        ):
+            table.setdefault(s, []).append((int(a), int(b), tgt))
+        adj.append(table)
+
+    def walk(depth: int, vertex: int, xs: list[int], zs: list[int]):
+        if depth == n:
+            yield PauliString(p, np.array(xs), np.array(zs))
+            return
+        for a, b, tgt in adj[depth].get(vertex, []):
+            yield from walk(depth + 1, tgt, xs + [a], zs + [b])
+
+    yield from walk(0, 0, [], [])
+
+
+def with_edge_entry(t: Trellis, i: int, field: str, j: int, value: int) -> bytes:
+    """The serialized trellis with one entry of section i's int64 sources or int16 labels replaced."""
+    m = t.label_matrix.shape[1]
+    pos = 5 + struct.calcsize("<HHIIH") + 8 * (t.n + 1)
+    pos += sum(12 + 4 * r + 2 * r * m + 2 * m for r in (layer.basis.shape[0] for layer in t.layers))
+    # a section is its count, its int64 sources and its int16 label pairs
+    pos += sum(8 + 12 * sec.size for sec in t.sections[:i])
+    sec = t.sections[i]
+    if field == "source":
+        fmt, arr, pos = "<q", sec.source, pos + 8
+    else:
+        fmt, arr, pos = "<h", sec.label, pos + 8 + 8 * sec.size
+    k = j % arr.size
+    pos += struct.calcsize(fmt) * k
+    blob = bytearray(serialize(t))
+    assert struct.unpack_from(fmt, blob, pos) == (arr.reshape(-1)[k],)
+    struct.pack_into(fmt, blob, pos, value)
+    return bytes(blob)
 
 
 @pytest.fixture(scope="session")

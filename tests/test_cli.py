@@ -9,8 +9,11 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
+from qtrellis import code as code_mod
 from qtrellis.cli import main
-from qtrellis.trellis import deserialize, serialize
+from qtrellis.trellis import build, deserialize, serialize
+
+from conftest import with_edge_entry
 
 
 @pytest.fixture()
@@ -223,6 +226,16 @@ def test_exit_code_validation_error(runner):
     assert result.exit_code == 2
 
 
+def test_distance_with_a_code_that_takes_none_exits_2(runner, tmp_path):
+    """A fixed built-in or a code file takes no distance: exit 2 rather than ignore it."""
+    path = tmp_path / "steane.qcode"
+    path.write_text(code_mod.write_code_file(code_mod.builtin("steane")))
+    for name, message in (("steane", "steane takes no distance"), (str(path), "--distance applies only")):
+        result = runner.invoke(main, ["profile", "--code", name, "--distance", "5"])
+        assert result.exit_code == 2
+        assert message in result.output
+
+
 def test_exit_code_capacity(runner, tmp_path):
     result = runner.invoke(
         main,
@@ -268,6 +281,16 @@ def test_exit_code_corrupted_trellis(runner, tmp_path):
     result = _decode_corrupted(runner, tmp_path, corrupt)
     assert result.exit_code == 4
     assert "source index" in result.output
+
+
+def test_census_of_a_trellis_that_fails_validation_exits_4(runner, tmp_path):
+    """One in-range source of section 5 rewritten: the file loads, census refuses it."""
+    t = build(code_mod.builtin("steane"))
+    out = tmp_path / "steane.trellis"
+    out.write_bytes(with_edge_entry(t, 4, "source", 0, int(t.sections[4].source[0]) ^ 1))
+    result = runner.invoke(main, ["census", "--trellis", str(out)])
+    assert result.exit_code == 4
+    assert "section 5:" in result.output and "identity" not in result.output
 
 
 def test_exit_code_trellis_profile_mismatch(runner, tmp_path):

@@ -234,6 +234,12 @@ def test_builtin_family_checks():
         code_mod.builtin("nope")
 
 
+def test_builtin_fixed_code_rejects_a_distance():
+    with pytest.raises(CodeError, match="^steane takes no distance$"):
+        code_mod.builtin("steane", 5)
+    assert code_mod.builtin("steane", None).n == 7
+
+
 def test_normalizer_and_logicals():
     for name in ("five_one_three", "steane"):
         code = code_mod.builtin(name)

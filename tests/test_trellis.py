@@ -25,15 +25,20 @@ from qtrellis.trellis import (
     build,
     census,
     deserialize,
-    enumerate_paths,
-    product,
     serialize,
     shift,
-    to_json,
     validate,
 )
 
-from conftest import group_elements, random_commuting_gens, random_css_code, reference_build
+from conftest import (
+    enumerate_paths,
+    group_elements,
+    product,
+    random_commuting_gens,
+    random_css_code,
+    reference_build,
+    with_edge_entry,
+)
 
 
 def trivial_trellis(p: int, n: int) -> Trellis:
@@ -471,13 +476,49 @@ def test_census_all_builtins():
 # validation
 
 
-def test_validate_detects_missing_edge(t513):
-    sec = t513.sections[2]
-    broken_sec = TrellisSection(2, sec.source[:-1], sec.flat_label[:-1], sec.deg_in)
+def _duplicate_first_edge(sec: TrellisSection) -> TrellisSection:
+    """Edge 1 becomes a copy of edge 0, an in-edge of the same target."""
+    source, flat = sec.source.copy(), sec.flat_label.copy()
+    source[1], flat[1] = source[0], flat[0]
+    return replace(sec, source=source, flat_label=flat)
+
+
+@pytest.mark.parametrize(
+    "breach, message",
+    [
+        (lambda sec: TrellisSection(2, sec.source[:-1], sec.flat_label[:-1], sec.deg_in), "63 edges of in-degree 4"),
+        (lambda sec: replace(sec, deg_in=sec.deg_in // 2), "64 edges of in-degree 2"),
+        (_duplicate_first_edge, "duplicate"),
+    ],
+    ids=["missing-edge", "wrong-deg-in", "duplicate-triple"],
+)
+def test_validate_flags_a_broken_section(t513, breach, message):
     broken = replace(
-        t513, sections=t513.sections[:2] + (broken_sec,) + t513.sections[3:]
+        t513, sections=t513.sections[:2] + (breach(t513.sections[2]),) + t513.sections[3:]
     )
-    assert validate(broken) != []
+    errors = validate(broken)
+    assert len(errors) == 1 and errors[0].startswith("section 3:") and message in errors[0]
+    with pytest.raises(TrellisError, match=f"^section 3: .*{message}"):
+        census(broken)
+
+
+def test_validate_flags_sources_swapped_across_blocks():
+    """Two sources of section 9 of [[20,4,6]] (262,144 edges) trade bipartite blocks.
+
+    Every degree and multiplicity stays as it was; only the block
+    structure breaks, and a section this size is checked like any other.
+    """
+    t = build(code_mod.builtin("codetable_20_4_6"))
+    sec = t.sections[8]
+    assert sec.size == 262144
+    source = sec.source.copy()
+    k = int(np.flatnonzero(~np.isin(source, source[: sec.deg_in]))[0])
+    source[0], source[k] = source[k], source[0]
+    broken = replace(t, sections=t.sections[:8] + (replace(sec, source=source),) + t.sections[9:])
+    errors = validate(broken)
+    assert len(errors) == 1 and errors[0].startswith("section 9:") and "bipartite" in errors[0]
+    with pytest.raises(TrellisError, match="bipartite"):
+        census(broken)
 
 
 # ---------------------------------------------------------------------------
@@ -556,26 +597,6 @@ _STEANE_TRELLIS = build(_STEANE)
 _STEANE_BLOB = serialize(_STEANE_TRELLIS)
 
 
-def _with_edge_entry(t: Trellis, i: int, field: str, j: int, value: int) -> bytes:
-    """The serialized trellis with one entry of section i's int64 sources or int16 labels replaced."""
-    m = t.label_matrix.shape[1]
-    pos = 5 + struct.calcsize("<HHIIH") + 8 * (t.n + 1)
-    pos += sum(12 + 4 * r + 2 * r * m + 2 * m for r in (layer.basis.shape[0] for layer in t.layers))
-    # a section is its count, its int64 sources and its int16 label pairs
-    pos += sum(8 + 12 * sec.size for sec in t.sections[:i])
-    sec = t.sections[i]
-    if field == "source":
-        fmt, arr, pos = "<q", sec.source, pos + 8
-    else:
-        fmt, arr, pos = "<h", sec.label, pos + 8 + 8 * sec.size
-    k = j % arr.size
-    pos += struct.calcsize(fmt) * k
-    blob = bytearray(serialize(t))
-    assert struct.unpack_from(fmt, blob, pos) == (arr.reshape(-1)[k],)
-    struct.pack_into(fmt, blob, pos, value)
-    return bytes(blob)
-
-
 @settings(max_examples=150, deadline=None)
 @given(length=st.integers(0, len(_STEANE_BLOB) - 1))
 def test_deserialize_rejects_truncation(length):
@@ -597,7 +618,7 @@ def test_deserialize_rejects_out_of_range_edges(i, field, j, delta, negative):
     bound = t.layers[i].size if field == "source" else t.p
     value = -delta if negative else bound - 1 + delta
     with pytest.raises(TrellisError):
-        deserialize(_with_edge_entry(t, i, field, j, value))
+        deserialize(with_edge_entry(t, i, field, j, value))
 
 
 def test_deserialize_checks_the_stored_profile():
@@ -632,23 +653,25 @@ def test_deserialize_checks_each_layer_rank():
 @settings(max_examples=200, deadline=None)
 @given(pos=st.integers(len(b"QTRLS"), len(_STEANE_BLOB) - 1), xor=st.integers(1, 255))
 def test_corrupted_trellis_fails_cleanly(pos, xor):
-    """A corrupted byte ends in TrellisError on load, or in a decode that raises nothing else."""
+    """A corrupted byte ends in TrellisError on load, or in a decode that raises nothing else.
+
+    A trellis that loads is refused by census exactly when validate reports a violation.
+    """
     blob = bytearray(_STEANE_BLOB)
     blob[pos] ^= xor
     try:
         t = deserialize(bytes(blob))
     except TrellisError:
         return
+    try:
+        census(t)
+        refused = False
+    except TrellisError:
+        refused = True
+    assert refused == (validate(t) != [])
     weights = weights_from_channel(ChannelSpec("depolarizing", 0.1), 7)
     try:
         decode(_STEANE, t, np.array([0, 0, 1, 0, 1, 0]), weights)
     except (TrellisError, DecodeError):
         pass
 
-
-def test_to_json(t513):
-    import json
-
-    doc = json.loads(to_json(t513))
-    assert doc["p"] == 2 and doc["n"] == 5
-    assert len(doc["sections"]) == 5
