@@ -5,11 +5,13 @@ given with a fixed built-in code or a code file; an empty ``simulate``
 grid; a ``fit`` input with fewer than three distances, fewer than four
 points at one distance, more than one decoder or channel, or more than one
 code at one distance; and a ``fit`` whose threshold or exponent lands on an
-edge of its search box), 3 resource cap exceeded, 4 I/O or format error
+edge of its search box), 3 resource cap exceeded (including a ``simulate``
+grid of more than 10,000 points), 4 I/O or format error
 (including a trellis of a group other than the code's, a trellis file of a
-format version other than 2, to be rebuilt with ``build``, and a ``fit`` input
-without the results columns, ``code``, ``decoder`` and ``channel`` among
-them, or with a malformed row).
+format version other than 3, to be rebuilt with ``build``, a trellis file
+that fails its checksum or, for ``census`` and ``decode``, ``validate``, and
+a ``fit`` input without the results columns, ``code``, ``decoder`` and
+``channel`` among them, or with a malformed row).
 """
 from __future__ import annotations
 
@@ -30,6 +32,9 @@ from .pauli import format_pauli
 from .decode import DecodeError
 from .sim import SimError
 from .trellis import CapacityError, TrellisError
+
+# the most points a ``simulate`` grid may have; every documented grid has under 20
+_MAX_GRID_POINTS = 10_000
 
 # the columns of a results CSV that ``fit`` reads
 _FIT_COLUMNS = (
@@ -146,7 +151,7 @@ def profile_cmd(code_name, distance, split, order_file, fmt):
 @click.option("--max-edges", type=int, default=10**8)
 @_guard
 def build_cmd(code_name, distance, split, order_file, out_file, max_edges):
-    """Build a trellis and write it, vertex labels included, in format version 2."""
+    """Build a trellis and write it, vertex labels included, in format version 3."""
     c = _load_code(code_name, distance, order_file)
     t = trellis_mod.build(_build_source(c, split), max_edges=max_edges)
     blob = trellis_mod.serialize(t)
@@ -184,6 +189,10 @@ def decode_cmd(trellis_file, code_name, distance, syndrome, channel_text):
     c = _load_code(code_name, distance, None)
     with open(trellis_file, "rb") as handle:
         t = trellis_mod.deserialize(handle.read())
+    # a stream with a recomputed checksum may still break the trellis structure
+    errors = trellis_mod.validate(t)
+    if errors:
+        raise TrellisError(errors[0])
     s = np.array([int(tok) for tok in syndrome.replace(",", " ").split()], dtype=np.int64)
     channel = _parse_channel(channel_text)
     weights = weights_from_channel(channel, c.n, p=c.p)
@@ -221,6 +230,9 @@ def simulate_cmd(
         raise SimError(f"--p-step {p_step} must be positive")
     if p_min > p_max:
         raise SimError(f"--p-min {p_min} exceeds --p-max {p_max}")
+    # count before np.arange allocates; the negation also refuses inf and nan
+    if not (p_max - p_min) / p_step + 0.5 <= _MAX_GRID_POINTS:
+        _fail(3, f"--p-step {p_step} gives a grid of more than {_MAX_GRID_POINTS} points")
     c = _load_code(code_name, distance, None)
     kind = channel_kind.replace("-", "_")
     grid = np.arange(p_min, p_max + p_step / 2, p_step)

@@ -8,11 +8,12 @@ Construction works for the full normalizer of a stabilizer code, for one
 axis of a CSS split, or for any explicit generator set.  Every section of
 a minimal trellis is a union of complete bipartite blocks; ``validate``
 checks that structure against the profile, and ``census`` classifies only
-what it accepts.  A trellis serializes to a versioned binary stream.
+what it accepts.  A trellis serializes to a versioned, checksummed binary stream.
 """
 from __future__ import annotations
 
 import struct
+import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -30,7 +31,7 @@ from .code import (
 )
 
 _MAGIC = b"QTRLS"
-_VERSION = 2
+_VERSION = 3
 
 
 class TrellisError(RuntimeError):
@@ -333,9 +334,14 @@ def validate(t: Trellis) -> list[str]:
             errors.append(f"section {i}: non-uniform parallel-edge multiplicity")
             continue
         # complete bipartite blocks: targets with equal source sets, the sets
-        # partitioning the source layer, each set shared by as many targets
-        blocks, counts = np.unique(heads, axis=0, return_counts=True)
-        if not np.array_equal(np.sort(blocks, axis=None), np.arange(n_src)) or np.unique(counts).size > 1:
+        # partitioning the source layer, each set shared by as many targets.
+        # Rows that start alike are equal and every source is counted alike:
+        # then the layer's smallest source lies in one set only, whose members
+        # reach their count in its copies alone; induct on the other sources.
+        rep = np.empty(n_src, dtype=np.intp)
+        rep[heads[:, 0]] = np.arange(len(heads))
+        uses = np.bincount(heads.ravel(), minlength=n_src)
+        if (heads != heads[rep[heads[:, 0]]]).any() or (uses != uses[0]).any():
             errors.append(f"section {i}: not complete bipartite blocks covering layer {i - 1} evenly")
     return errors
 
@@ -347,102 +353,89 @@ def validate(t: Trellis) -> list[str]:
 def serialize(t: Trellis) -> bytes:
     """Versioned binary encoding of a trellis, its vertex labels included.
 
-    Version 2 writes, little-endian: the magic; ``(version, p, n, m, dim)``;
-    the profile's ``dim_past`` and ``dim_future``; per layer its size,
-    rank, pivots, int16 basis and int16 offset; per section its edge
-    count, int64 sources and int16 labels; and last the int16
-    ``(2n, m)`` label matrix.  Targets are implied, on disk as in memory:
-    a section sorted by target has targets ``arange(count) // deg_in``.
+    Version 3 writes the in-memory arrays, little-endian: the magic;
+    ``(version, p, n, m, dim)``; the profile's ``dim_past`` and ``dim_future``;
+    per layer its pivots, int16 basis and int16 offset; per section its int64
+    sources and its flat labels in their own dtype; the int16 ``(2n, m)``
+    label matrix; and last the CRC-32 of every byte before it.  Layer sizes
+    and ranks, edge counts and targets are the profile's, on disk as in memory.
     """
-    out = bytearray()
-    out += _MAGIC
+    out = bytearray(_MAGIC)
     out += struct.pack("<HHIIH", _VERSION, t.p, t.n, t.label_matrix.shape[1], t.profile.dim)
-    out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_past)
-    out += struct.pack(f"<{t.n + 1}I", *t.profile.dim_future)
+    out += struct.pack(f"<{2 * t.n + 2}I", *t.profile.dim_past, *t.profile.dim_future)
     for layer in t.layers:
-        r = layer.basis.shape[0]
-        out += struct.pack("<QI", layer.size, r)
-        out += struct.pack(f"<{r}I", *layer.pivots)
+        out += struct.pack(f"<{len(layer.pivots)}I", *layer.pivots)
         out += layer.basis.astype(np.int16).tobytes()
         out += layer.offset.astype(np.int16).tobytes()
     for sec in t.sections:
-        out += struct.pack("<Q", sec.size)
         out += sec.source.astype(np.int64).tobytes()
-        out += sec.label.astype(np.int16).tobytes()
+        out += sec.flat_label.tobytes()
     out += t.label_matrix.astype(np.int16).tobytes()
+    out += struct.pack("<I", zlib.crc32(out))
     return bytes(out)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise TrellisError("truncated trellis stream")
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def deserialize(data: bytes) -> Trellis:
-    """Inverse of :func:`serialize`; each section's in-degree comes from the profile.
+    """Inverse of :func:`serialize`; every size and in-degree comes from the profile.
 
-    Only version 2 is read: a stream of another version, such as a version-1
-    file, raises TrellisError naming it, and is rebuilt with ``qtrellis build``.
+    Only version 3 is read, its CRC-32 first: a stream of another version,
+    such as a version-1 or version-2 file, raises TrellisError naming it,
+    and is rebuilt with ``qtrellis build``.
     """
-    r = _Reader(data)
-    if r.take(len(_MAGIC)) != _MAGIC:
+    body = memoryview(data)[:-4]
+    pos = 0
+
+    def take(count: int, dtype=np.uint8) -> np.ndarray:
+        nonlocal pos
+        size = count * np.dtype(dtype).itemsize
+        if pos + size > len(body):
+            raise TrellisError("truncated trellis stream")
+        pos += size
+        return np.frombuffer(body[pos - size : pos], dtype=dtype)
+
+    if take(len(_MAGIC)).tobytes() != _MAGIC:
         raise TrellisError("bad magic: not a trellis stream")
-    (version,) = r.unpack("<H")
+    version = int(take(1, "<u2")[0])
     if version != _VERSION:
         raise TrellisError(
             f"trellis format version {version} is not read (only version {_VERSION}); "
             "rebuild the file with `qtrellis build`"
         )
-    p, n, m, dim = r.unpack("<HIIH")
-    past = r.unpack(f"<{n + 1}I")
-    future = r.unpack(f"<{n + 1}I")
+    if zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
+        raise TrellisError("trellis stream fails its CRC-32 check: corrupted or truncated")
+    p, n, m, dim = struct.unpack("<HIIH", take(12))
+    past = tuple(take(n + 1, "<u4").tolist())
+    future = tuple(take(n + 1, "<u4").tolist())
+    if p < 2:
+        raise TrellisError(f"p = {p} is not a field size")
     if past[0] != 0 or past[-1] != dim or any(a > b for a, b in zip(past, past[1:])):
         raise TrellisError("dim_past must run nondecreasing from 0 to dim")
     if future[0] != dim or future[-1] != 0 or any(a < b for a, b in zip(future, future[1:])):
         raise TrellisError("dim_future must run nonincreasing from dim to 0")
-
-    def check_size(what: str, size: int, e: int) -> None:
-        # compare exponents first, so an absurd e never forms p**e
-        if e < 0 or e > size.bit_length() or p**e != size:
-            raise TrellisError(f"{what}: {size} does not match the profile's {p}**{e}")
-
+    if any(a + b > dim for a, b in zip(past, future)):
+        raise TrellisError("dim_past + dim_future exceeds dim at a layer")
     layers = []
     for i in range(n + 1):
-        size, rk = r.unpack("<QI")
-        e = dim - past[i] - future[i]
-        check_size(f"layer {i}", size, e)
-        if rk != e:
-            raise TrellisError(f"layer {i}: label basis of rank {rk}, the profile's {e}")
-        pivots = r.unpack(f"<{rk}I")
-        basis = np.frombuffer(r.take(2 * rk * m), dtype=np.int16).reshape(rk, m).astype(np.int64)
-        offset = np.frombuffer(r.take(2 * m), dtype=np.int16).astype(np.int64)
-        layers.append(TrellisLayer(p, basis, pivots, offset))
+        rk = dim - past[i] - future[i]
+        pivots = tuple(take(rk, "<u4").tolist())
+        basis = take(rk * m, np.int16).reshape(rk, m).astype(np.int64)
+        layers.append(TrellisLayer(p, basis, pivots, take(m, np.int16).astype(np.int64)))
+    dtype = np.min_scalar_type(p * p - 1)
     sections = []
     for i in range(n):
-        (count,) = r.unpack("<Q")
-        check_size(f"section {i + 1}", count, dim - past[i] - future[i + 1])
-        src = np.frombuffer(r.take(8 * count), dtype=np.int64).copy()
-        lab = np.frombuffer(r.take(4 * count), dtype=np.int16).reshape(count, 2)
+        e = dim - past[i] - future[i + 1]
+        # p**e edges take over 2**e bytes, and e bounds the source layer's
+        # rank: compare the exponent first, so an absurd e never forms p**e
+        if e >= len(body).bit_length():
+            raise TrellisError(f"section {i + 1}: the profile's {p}**{e} edges do not fit the stream")
+        src, flat = take(p**e, np.int64).copy(), take(p**e, dtype).copy()
         if src.min() < 0 or src.max() >= layers[i].size:
             raise TrellisError(f"section {i + 1}: source index outside its layer")
-        if lab.min() < 0 or lab.max() >= p:
-            raise TrellisError(f"section {i + 1}: label outside [0, p)")
-        flat = ffield.mixed_radix(lab, p).astype(np.min_scalar_type(p * p - 1))
-        # the profile makes the in-degree p**(past[i + 1] - past[i]), a
-        # whole number, so the sorted targets are exact
+        if flat.max() >= p * p:
+            raise TrellisError(f"section {i + 1}: label outside [0, p*p)")
         sections.append(TrellisSection(p, src, flat, p ** (past[i + 1] - past[i])))
-    L = np.frombuffer(r.take(2 * 2 * n * m), dtype=np.int16).reshape(2 * n, m).astype(np.int64)
-    # every size matched its exponent above, so the profile is exact
+    L = take(2 * n * m, np.int16).reshape(2 * n, m).astype(np.int64)
+    if pos != len(body):
+        raise TrellisError(f"{len(body) - pos} bytes past the end of the trellis the profile describes")
     prof = TrellisProfile.from_dims(p, n, dim, past, future)
     return Trellis(p, n, tuple(layers), tuple(sections), prof, L)

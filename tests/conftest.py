@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -311,24 +312,29 @@ def enumerate_paths(t: Trellis):
     yield from walk(0, 0, [], [])
 
 
+def rechecksummed(blob) -> bytes:
+    """A serialized trellis with its trailing CRC-32 recomputed over the bytes before it."""
+    return bytes(blob[:-4]) + struct.pack("<I", zlib.crc32(blob[:-4]))
+
+
 def with_edge_entry(t: Trellis, i: int, field: str, j: int, value: int) -> bytes:
-    """The serialized trellis with one entry of section i's int64 sources or int16 labels replaced."""
+    """The serialized trellis with one of section i's int64 sources or flat labels replaced, re-checksummed."""
     m = t.label_matrix.shape[1]
     pos = 5 + struct.calcsize("<HHIIH") + 8 * (t.n + 1)
-    pos += sum(12 + 4 * r + 2 * r * m + 2 * m for r in (layer.basis.shape[0] for layer in t.layers))
-    # a section is its count, its int64 sources and its int16 label pairs
-    pos += sum(8 + 12 * sec.size for sec in t.sections[:i])
+    pos += sum(4 * r + 2 * r * m + 2 * m for r in (len(layer.pivots) for layer in t.layers))
+    # a section is its int64 sources, then its flat labels
+    pos += sum((8 + sec.flat_label.itemsize) * sec.size for sec in t.sections[:i])
     sec = t.sections[i]
     if field == "source":
-        fmt, arr, pos = "<q", sec.source, pos + 8
+        fmt, arr = "<q", sec.source
     else:
-        fmt, arr, pos = "<h", sec.label, pos + 8 + 8 * sec.size
+        fmt, arr, pos = "<" + sec.flat_label.dtype.char, sec.flat_label, pos + 8 * sec.size
     k = j % arr.size
     pos += struct.calcsize(fmt) * k
     blob = bytearray(serialize(t))
-    assert struct.unpack_from(fmt, blob, pos) == (arr.reshape(-1)[k],)
+    assert struct.unpack_from(fmt, blob, pos) == (arr[k],)
     struct.pack_into(fmt, blob, pos, value)
-    return bytes(blob)
+    return rechecksummed(blob)
 
 
 @pytest.fixture(scope="session")

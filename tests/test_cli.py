@@ -123,6 +123,22 @@ def test_simulate_rejects_an_empty_grid(runner, tmp_path, p_min, p_max, p_step):
     assert not out.exists()
 
 
+def test_simulate_refuses_an_absurd_grid_before_building(runner, tmp_path):
+    """A grid of 4.9e15 points is a resource cap (exit 3), not a failed allocation."""
+    out = tmp_path / "results.csv"
+    result = runner.invoke(
+        main,
+        [
+            "simulate", "--code", "steane", "--channel", "depolarizing",
+            "--p-min", "0.01", "--p-max", "0.5", "--p-step", "1e-16",
+            "--samples", "100", "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 3
+    assert "more than 10000 points" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("build_args", [["--split", "x"], ["--order", "ORDER"]])
 def test_decode_rejects_a_trellis_of_another_group(runner, tmp_path, build_args):
     """Decoding Steane on its X-check part or on a renumbered trellis is a format error."""
@@ -291,6 +307,22 @@ def test_census_of_a_trellis_that_fails_validation_exits_4(runner, tmp_path):
     result = runner.invoke(main, ["census", "--trellis", str(out)])
     assert result.exit_code == 4
     assert "section 5:" in result.output and "identity" not in result.output
+
+
+def test_decode_of_a_trellis_that_fails_validation_exits_4(runner, tmp_path):
+    """The census test's file, re-checksummed after the rewrite: decode validates what it loads."""
+    t = build(code_mod.builtin("steane"))
+    out = tmp_path / "steane.trellis"
+    out.write_bytes(with_edge_entry(t, 4, "source", 0, int(t.sections[4].source[0]) ^ 1))
+    result = runner.invoke(
+        main,
+        [
+            "decode", "--trellis", str(out), "--code", "steane",
+            "--syndrome", "0,0,1,0,0,0", "--channel", "depolarizing:0.1",
+        ],
+    )
+    assert result.exit_code == 4
+    assert "section 5:" in result.output and "correction" not in result.output
 
 
 def test_exit_code_trellis_profile_mismatch(runner, tmp_path):
