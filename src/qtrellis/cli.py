@@ -1,7 +1,8 @@
 """Command-line front end: profile, build, census, decode, simulate, fit.
 
 Exit codes: 0 success, 2 validation error (including a ``--distance``
-given with a fixed built-in code or a code file; an empty ``simulate``
+given with a fixed built-in code or a code file, or one whose family code
+has more than ``code.MAX_BUILTIN_QUBITS`` qubits; an empty ``simulate``
 grid; a ``fit`` input with fewer than three distances, fewer than four
 points at one distance, more than one decoder or channel, or more than one
 code at one distance; and a ``fit`` whose threshold or exponent lands on an
@@ -148,7 +149,7 @@ def profile_cmd(code_name, distance, split, order_file, fmt):
 @click.option("--split", type=click.Choice(["full", "x", "z"]), default="full")
 @click.option("--order", "order_file", default=None)
 @click.option("--out", "out_file", required=True)
-@click.option("--max-edges", type=int, default=10**8)
+@click.option("--max-edges", type=int, default=trellis_mod.MAX_EDGES)
 @_guard
 def build_cmd(code_name, distance, split, order_file, out_file, max_edges):
     """Build a trellis and write it, vertex labels included, in format version 3."""
@@ -220,7 +221,7 @@ def decode_cmd(trellis_file, code_name, distance, syndrome, channel_text):
 @click.option("--seed", type=int, default=0)
 @click.option("--decoder", type=click.Choice(["full", "css", "block"]), default="full")
 @click.option("--out", "out_file", required=True)
-@click.option("--max-edges", type=int, default=10**8)
+@click.option("--max-edges", type=int, default=trellis_mod.MAX_EDGES)
 @_guard
 def simulate_cmd(
     code_name, distance, channel_kind, p_min, p_max, p_step, samples, seed, decoder, out_file, max_edges

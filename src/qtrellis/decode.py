@@ -12,7 +12,7 @@ import numpy as np
 
 from .pauli import _QUBIT_CHARS, PauliString, from_symplectic, mul
 from .code import StabilizerCode
-from .trellis import Trellis, TrellisError
+from .trellis import Trellis, TrellisError, label_sums
 
 SUCCESS = "success"
 LOGICAL_FAILURE = "logical_failure"
@@ -110,10 +110,7 @@ def pure_error(code: StabilizerCode, s: np.ndarray) -> PauliString:
 
 
 def _viterbi_arrays(
-    t: Trellis,
-    wtab: np.ndarray,
-    shift_x: np.ndarray,
-    shift_z: np.ndarray,
+    t: Trellis, wtab: np.ndarray, shift_x: np.ndarray, shift_z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched Viterbi over one trellis.
 
@@ -121,11 +118,13 @@ def _viterbi_arrays(
     (samples, n); the trellis itself stays at the zero syndrome and the
     shift is applied on the fly to each edge label.  Returns the x and z
     exponent arrays of the minimum-weight corrections and their weights.
-    Each edge's weight is read through the section's shift-symbol label
-    table ``shifted_labels``, and the traceback reads each chosen edge's
-    label from the same row.  Each target keeps the first of its in-edges
-    that reaches the minimum, so ties resolve to the smallest (source,
-    label) pair by construction of the edge ordering.  That holds only for
+    The weights of every site's labels under every shift symbol are formed
+    once, ``wtab`` read through :func:`label_sums` (n * p**4 entries), and
+    an edge's weight is the entry of its row's symbol and its flat label.
+    The traceback keeps the chosen edges' flat labels and shifts them all
+    at once.  Each target keeps the first of its in-edges that reaches the
+    minimum, so ties resolve to the smallest (source, label) pair by
+    construction of the edge ordering.  That holds only for
     float64-equal path sums: corrections of equal Hamming weight usually
     sum their -log weights in different orders, so rounding picks the
     winner (on surface d = 5 ``full`` at depolarizing p = 0.1, exact
@@ -135,12 +134,13 @@ def _viterbi_arrays(
     p, n = t.p, t.n
     count = shift_x.shape[0]
     sym = shift_x * p + shift_z
-    flat = wtab.reshape(n, p * p)
+    sums = label_sums(p)
+    shifted = wtab.reshape(n, p * p)[:, sums]
     dist = np.zeros((count, 1))
     back: list[np.ndarray] = []
     for i, sec in enumerate(t.sections):
         deg = sec.deg_in
-        cost = flat[i][sec.shifted_labels[sym[:, i]]]
+        cost = np.take(shifted[i][sym[:, i]], sec.flat_label, axis=1)
         cost += dist[:, sec.source]
         cost = cost.reshape(count, t.layers[i + 1].size, deg)
         dist = cost[:, :, 0].copy()
@@ -151,15 +151,15 @@ def _viterbi_arrays(
             np.copyto(arg, j, where=better)
         back.append(arg)
     total = dist[:, 0].copy()
-    xs = np.zeros((count, n), dtype=np.int64)
-    zs = np.zeros((count, n), dtype=np.int64)
+    labels = np.empty((count, n), dtype=sums.dtype)
     cur = np.zeros(count, dtype=np.int64)
     rows = np.arange(count)
     for i in range(n - 1, -1, -1):
         sec = t.sections[i]
         eidx = cur * sec.deg_in + back[i][rows, cur]
-        xs[:, i], zs[:, i] = np.divmod(sec.shifted_labels[sym[:, i], eidx], p)
+        labels[:, i] = sec.flat_label[eidx]
         cur = sec.source[eidx]
+    xs, zs = np.divmod(sums[sym, labels].astype(np.int64), p)
     return xs, zs, total
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import ffield
 from .pauli import PauliString, from_symplectic, symplectic_matrix
-from .code import StabilizerCode, css_split
-from .trellis import Trellis, CapacityError, build
+from .code import StabilizerCode, builtin, css_split
+from .trellis import MAX_EDGES, Trellis, CapacityError, build, label_sums
 from .decode import _chunk_rows, decode_syndromes, logical_flags, measure_syndromes, mode_weights
 
 _WILSON_Z = 1.959963984540054  # 95%
@@ -136,10 +136,11 @@ def _coset_weights(t: Trellis, cx: np.ndarray, cz: np.ndarray) -> np.ndarray:
     """
     count, n = cx.shape
     sym = cx * t.p + cz
+    moves = label_sums(t.p) != 0
     lanes = np.broadcast_to(np.eye(1, n + 1, dtype=np.int64), (count, 1, n + 1))  # the root holds 1
     for i, sec in enumerate(t.sections):
         edge = lanes[:, sec.source]
-        up = sec.shifted_labels[sym[:, i]] != 0
+        up = np.take(moves[sym[:, i]], sec.flat_label, axis=1)
         edge[up] = np.roll(edge[up], 1, axis=1)
         lanes = edge.reshape(count, t.layers[i + 1].size, sec.deg_in, n + 1).sum(axis=2)
     return lanes[:, 0]
@@ -196,22 +197,15 @@ def exact_rate(
 
 
 def build_trellises(
-    code: StabilizerCode, decoder: str, *, max_edges: int = 10**8
+    code: StabilizerCode, decoder: str, *, max_edges: int = MAX_EDGES
 ) -> dict[str, Trellis]:
     """The trellis set a decoder mode needs for a given code."""
     if decoder == "full":
         return {"full": build(code, max_edges=max_edges)}
     if decoder == "css":
-        x_part, z_part = css_split(code)
-        return {
-            "x": build(x_part, max_edges=max_edges),
-            "z": build(z_part, max_edges=max_edges),
-        }
+        return {key: build(part, max_edges=max_edges) for key, part in zip("xz", css_split(code))}
     if decoder == "block":
-        from .code import builtin
-
-        x_part, _ = css_split(builtin("steane"))
-        return {"inner": build(x_part, max_edges=max_edges)}
+        return {"inner": build(css_split(builtin("steane"))[0], max_edges=max_edges)}
     raise SimError(f"unknown decoder mode {decoder!r}")
 
 
@@ -260,11 +254,7 @@ def run_montecarlo(
         rate_cond = failures / samples
         p_nt = 1.0 - float(channel.site_probs(p)[0, 0]) ** n
         lo, hi = _wilson(failures, samples)
-        points.append(
-            DataPoint(
-                float(p_phys), samples, failures, rate_cond, rate_cond * p_nt, lo, hi
-            )
-        )
+        points.append(DataPoint(float(p_phys), samples, failures, rate_cond, rate_cond * p_nt, lo, hi))
     return points
 
 

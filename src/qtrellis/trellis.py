@@ -16,7 +16,6 @@ import struct
 import zlib
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +31,8 @@ from .code import (
 
 _MAGIC = b"QTRLS"
 _VERSION = 3
+# the default cap on a build's predicted edge count
+MAX_EDGES = 10**8
 
 
 class TrellisError(RuntimeError):
@@ -63,6 +64,16 @@ class TrellisLayer:
     def labels(self) -> np.ndarray:
         """All vertex labels in index order, shape (size, label_width)."""
         return (ffield.span(self.basis, self.p) + self.offset) % self.p
+
+
+def label_sums(p: int) -> np.ndarray:
+    """Flat labels under every shift symbol, shape (p*p, p*p), in the flat-label dtype.
+
+    Entry ``[s, l]`` is flat label ``l`` shifted by symbol ``s``: the
+    exponent pairs ``divmod(l, p)`` and ``divmod(s, p)`` added mod p.
+    """
+    a, b = np.divmod(np.arange(p * p), p)
+    return ((a[:, None] + a) % p * p + (b[:, None] + b) % p).astype(np.min_scalar_type(p * p - 1))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -97,22 +108,6 @@ class TrellisSection:
     def label(self) -> np.ndarray:
         """Exponent pairs (a, b), shape (size, 2)."""
         return _read_only(np.stack(np.divmod(self.flat_label.astype(np.int64), self.p), axis=1))
-
-    @cached_property
-    def shifted_labels(self) -> np.ndarray:
-        """Flat edge labels under every shift symbol, shape (p*p, size).
-
-        Row ``sx*p + sz`` holds the labels after adding (sx, sz) to each
-        edge; row 0 is ``flat_label``.  Every shifted label is read from
-        this read-only table, which depends on the structure only, so the
-        decoder builds it once per section; it is never serialized.  A
-        shifted section's ``flat_label`` is a row of its base's table.
-        """
-        p = self.p
-        sym = np.arange(p * p)[:, None]
-        a, b = np.divmod(self.flat_label, p)
-        return _read_only(((a + sym // p) % p * p + (b + sym % p) % p).astype(self.flat_label.dtype))
-
 
 @dataclass(frozen=True)
 class Trellis:
@@ -199,7 +194,7 @@ def _resolve(source):
     return tof, commutation_rows(sym, p).T, tof_profile(tof)
 
 
-def build(source, *, max_edges: int = 10**8) -> Trellis:
+def build(source, *, max_edges: int = MAX_EDGES) -> Trellis:
     """Build the minimal zero-syndrome trellis.
 
     ``source`` may be a StabilizerCode (trellis of its normalizer), a
@@ -249,18 +244,18 @@ def build(source, *, max_edges: int = 10**8) -> Trellis:
 def shift(t: Trellis, pure_error: PauliString) -> Trellis:
     """Overlay a syndrome shift: vertex offsets change, structure is shared.
 
-    Vertex labels pick up the pure error's partial syndrome and the edge
-    labels of section i become the row of its ``shifted_labels`` for the
-    error's site-i component.  The base trellis is untouched; index arrays
-    are shared, not copied.
+    Vertex labels pick up the pure error's partial syndrome and the flat
+    labels of section i are read through row ``k`` of :func:`label_sums`,
+    ``k`` the error's site-i symbol, so they keep the flat-label dtype.  The
+    base trellis is untouched; index arrays are shared, not copied.
     """
     if pure_error.n != t.n or pure_error.p != t.p:
         raise TrellisError("shift string acts on a different system")
-    p = t.p
+    p, sums = t.p, label_sums(t.p)
     off = _partial_syndromes(pure_error.symplectic(), t.label_matrix, p)
     layers = [replace(layer, offset=(layer.offset + off[i]) % p) for i, layer in enumerate(t.layers)]
     sections = tuple(
-        replace(sec, flat_label=sec.shifted_labels[k]) if k else sec
+        replace(sec, flat_label=sums[k][sec.flat_label]) if k else sec
         for sec, k in zip(t.sections, (pure_error.x * p + pure_error.z).tolist())
     )
     return replace(t, layers=tuple(layers), sections=sections)

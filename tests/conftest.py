@@ -12,7 +12,7 @@ from qtrellis import code as code_mod
 from qtrellis import ffield
 from qtrellis.code import TrellisProfile
 from qtrellis.pauli import PauliString, from_symplectic, mul, symplectic_matrix
-from qtrellis.trellis import Trellis, TrellisError, TrellisLayer, TrellisSection, serialize
+from qtrellis.trellis import Trellis, TrellisError, TrellisLayer, TrellisSection, label_sums, serialize
 
 
 def group_elements(gens: list[PauliString]) -> set[PauliString]:
@@ -110,7 +110,7 @@ def random_css_code(rng, p: int, n: int, rx: int, rz: int):
 
 
 def reference_viterbi(t, wtab, shift_x, shift_z):
-    """The argmin Viterbi kernel that the shift-symbol kernel replaced.
+    """The argmin Viterbi kernel that the label-sum kernel replaced.
 
     A test oracle only: decoding must stay bit-identical to it, ties
     included, in corrections and in weights.
@@ -272,7 +272,7 @@ def product(t1: Trellis, t2: Trellis) -> Trellis:
         v1, v2, d1, d2 = t1.layers[i].size, t2.layers[i].size, s1.deg_in, s2.deg_in
         # key source * p*p + label of edge pair (e1, e2), whose target is
         # (e1 // d1) * v2 + e2 // d2: one row per target, sorted within it
-        labels = s1.shifted_labels[s2.flat_label].T
+        labels = label_sums(p)[s1.flat_label[:, None], s2.flat_label]
         key = (s1.source[:, None] * t2.layers[i - 1].size + s2.source) * (p * p) + labels
         key = np.sort(key.reshape(v1, d1, v2, d2).transpose(0, 2, 1, 3).reshape(v1 * v2, d1 * d2), axis=1)
         if (np.diff(key, axis=1) == 0).any():

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+import time
 from dataclasses import replace
 
 import pytest
@@ -250,6 +251,16 @@ def test_distance_with_a_code_that_takes_none_exits_2(runner, tmp_path):
         result = runner.invoke(main, ["profile", "--code", name, "--distance", "5"])
         assert result.exit_code == 2
         assert message in result.output
+
+
+def test_absurd_family_distance_exits_2_before_construction(runner):
+    """A family distance over the qubit cap is refused from its formula, not by building it."""
+    for name in ("rotated_surface", "color_666", "color_488"):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["profile", "--code", name, "--distance", "1000001"])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert f"over {code_mod.MAX_BUILTIN_QUBITS}" in result.output
 
 
 def test_exit_code_capacity(runner, tmp_path):

@@ -234,6 +234,18 @@ def test_builtin_family_checks():
         code_mod.builtin("nope")
 
 
+def test_builtin_family_qubit_cap():
+    """Each family's qubit formula matches its codes, and a distance over the cap builds nothing."""
+    for name, (_, qubits) in code_mod._FAMILIES.items():
+        for d in (3, 5, 7):
+            assert code_mod.builtin(name, d).n == qubits(d)
+    # the first distance of each family over 1024 qubits
+    for name, d, n in (("rotated_surface", 33, 1089), ("color_666", 37, 1027), ("color_488", 33, 1057)):
+        assert n > code_mod.MAX_BUILTIN_QUBITS >= code_mod._FAMILIES[name][1](d - 2)
+        with pytest.raises(CodeError, match=f"^{name} at distance {d} has {n} qubits, over 1024$"):
+            code_mod.builtin(name, d)
+
+
 def test_builtin_fixed_code_rejects_a_distance():
     with pytest.raises(CodeError, match="^steane takes no distance$"):
         code_mod.builtin("steane", 5)

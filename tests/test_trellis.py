@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from qtrellis import code as code_mod
 from qtrellis import ffield
 from qtrellis.code import TrellisProfile, css_split, profile
-from qtrellis.decode import DecodeError, decode, pure_error, weights_from_channel
+from qtrellis.decode import DecodeError, decode, decode_syndromes, pure_error, viterbi, weights_from_channel
 from qtrellis.pauli import PauliString, from_symplectic, identity, mul, parse_pauli, syndrome
-from qtrellis.sim import ChannelSpec
+from qtrellis.sim import ChannelSpec, exact_rate
 from qtrellis.trellis import (
     CapacityError,
     Trellis,
@@ -25,6 +25,7 @@ from qtrellis.trellis import (
     build,
     census,
     deserialize,
+    label_sums,
     serialize,
     shift,
     validate,
@@ -288,13 +289,47 @@ def test_targets_and_label_pairs_are_read_only_views(name, d, part):
 
 
 def test_an_edge_stores_its_source_and_flat_label_alone():
-    """9 B an edge at p = 2 before any decode: an int64 source and a uint8 flat label."""
+    """9 B an edge at p = 2, before and after decoding: an int64 source and a uint8 flat label."""
     assert [f.name for f in fields(TrellisSection)] == ["p", "source", "flat_label", "deg_in"]
     assert [f.name for f in fields(TrellisLayer)] == ["p", "basis", "pivots", "offset"]
-    t = build(code_mod.builtin("codetable_20_4_6"))
-    # every array a section holds, a cached one included
-    arrays = [a for sec in t.sections for a in vars(sec).values() if isinstance(a, np.ndarray)]
-    assert sum(a.nbytes for a in arrays) <= 9 * t.total_edges
+
+    def stored(t):
+        # every array a section holds, a cached one included
+        arrays = [a for sec in t.sections for a in vars(sec).values() if isinstance(a, np.ndarray)]
+        return sum(a.nbytes for a in arrays)
+
+    code, small_code = code_mod.builtin("codetable_20_4_6"), code_mod.builtin("rotated_surface", 3)
+    t, small = build(code), build(small_code)
+    assert stored(t) <= 9 * t.total_edges
+    channel = ChannelSpec("depolarizing", 0.05)
+    w = weights_from_channel(channel, code.n)
+    s = np.arange(len(code.stabilizers)) % 2
+    decode_syndromes(code, {"full": t}, "full", {"full": w}, np.stack([s, 1 - s]))
+    shifted = shift(t, pure_error(code, s))
+    viterbi(shifted, w)
+    exact_rate(small_code, channel, "full", trellises={"full": small})
+    for trellis in (t, shifted, small):
+        assert stored(trellis) <= 9 * trellis.total_edges
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17])
+def test_label_sums_add_exponent_pairs_mod_p(p):
+    sums = label_sums(p)
+    assert sums.shape == (p * p, p * p) and sums.dtype == np.min_scalar_type(p * p - 1)
+    assert np.array_equal(sums[0], np.arange(p * p))
+    assert (np.sort(sums, axis=1) == np.arange(p * p)).all()
+    pairs = [(a, b) for a in range(p) for b in range(p)]
+    expect = [[(sa + a) % p * p + (sb + b) % p for a, b in pairs] for sa, sb in pairs]
+    assert np.array_equal(sums, expect)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_shift_keeps_the_flat_label_dtype(p, rng):
+    t = build(random_css_code(rng, p, 6, 2, 2))
+    T = PauliString(p, rng.integers(1, p, 6), rng.integers(0, p, 6))
+    for sec, base, a, b in zip(shift(t, T).sections, t.sections, T.x, T.z):
+        assert sec.flat_label.dtype == base.flat_label.dtype == np.uint8
+        assert np.array_equal(sec.label, (base.label + [a, b]) % p)
 
 
 # ---------------------------------------------------------------------------
