@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import time
 
 import click
 import numpy as np
@@ -152,13 +153,17 @@ def profile_cmd(code_name, distance, split, order_file, fmt):
 @click.option("--max-edges", type=int, default=trellis_mod.MAX_EDGES)
 @_guard
 def build_cmd(code_name, distance, split, order_file, out_file, max_edges):
-    """Build a trellis and write it, vertex labels included, in format version 3."""
+    """Build a trellis, write it in format version 3, and print its size and build and serialize seconds."""
     c = _load_code(code_name, distance, order_file)
+    t0 = time.perf_counter()
     t = trellis_mod.build(_build_source(c, split), max_edges=max_edges)
+    t1 = time.perf_counter()
     blob = trellis_mod.serialize(t)
+    t2 = time.perf_counter()
     with open(out_file, "wb") as handle:
         handle.write(blob)
-    click.echo(f"wrote {len(blob)} bytes: |V| = {t.total_vertices}, |E| = {t.total_edges}")
+    sizes = f"wrote {len(blob)} bytes: |V| = {t.total_vertices}, |E| = {t.total_edges}"
+    click.echo(f"{sizes}; build {t1 - t0:.3f} s, serialize {t2 - t1:.3f} s")
 
 
 @main.command(name="census")

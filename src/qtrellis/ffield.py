@@ -95,20 +95,27 @@ def kernel(m: np.ndarray, p: int) -> np.ndarray:
 
 
 def span(rows: np.ndarray, p: int) -> np.ndarray:
-    """Every combination of ``rows`` mod p in their dtype, first row most significant.
+    """Every combination of ``rows`` mod p, column-major: shape ``(k, p**len(rows))``.
 
-    Rows in reduced row-echelon form give their span in lexicographic order,
-    so a vector's index in it is ``mixed_radix`` of its pivot digits.
+    Column j has coefficients spelling j in base p, first row most significant,
+    so echelon rows give their span in lexicographic order.  The unsigned
+    digits fill one array by block doubling: block a is block a - 1 plus the
+    row, reduced by ``min(x, x - p)`` since a digit below p wraps past it.
     """
-    out = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows:
-        out = (out[:, None, :] + np.arange(p, dtype=rows.dtype)[:, None] * row).reshape(-1, rows.shape[1]) % p
+    digits = (rows % p).astype(np.min_scalar_type(2 * p - 2))
+    out = np.zeros((digits.shape[1], p ** len(digits)), dtype=digits.dtype)
+    for j, row in enumerate(digits[::-1]):
+        for a in range(1, p):
+            blk = out[:, a * p**j : (a + 1) * p**j]
+            np.add(out[:, (a - 1) * p**j : a * p**j], row[:, None], out=blk)
+            np.minimum(blk, blk - p, out=blk)
     return out
 
 
 def mixed_radix(digits: np.ndarray, p: int) -> np.ndarray:
-    """Collapse base-p digit rows (most significant first) to indices."""
-    idx = np.zeros(digits.shape[0], dtype=np.int64)
-    for j in range(digits.shape[1]):
-        idx = idx * p + digits[:, j]
+    """Collapse base-p digit rows (most significant first) to int64 indices, one per column."""
+    idx = np.zeros(digits.shape[1], dtype=np.int64)
+    for d in digits:
+        idx *= p
+        idx += d
     return idx

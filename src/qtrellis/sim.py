@@ -14,11 +14,11 @@ import numpy as np
 from . import ffield
 from .pauli import PauliString, from_symplectic, symplectic_matrix
 from .code import StabilizerCode, builtin, css_split
-from .trellis import MAX_EDGES, Trellis, CapacityError, build, label_sums
+from .trellis import MAX_EDGES, Trellis, CapacityError, _resolve, build, label_sums
 from .decode import _chunk_rows, decode_syndromes, logical_flags, measure_syndromes, mode_weights
 
 _WILSON_Z = 1.959963984540054  # 95%
-# exact_rate's cap on syndromes x S_ch edges x (n + 1); 6.6.6 d = 7 takes 1.1e10
+# exact_rate's cap on syndromes x (S_ch edges x (n + 1) + decoder edges); 6.6.6 d = 7 takes 1.2e10
 _EXACT_WORK = 2**35
 # rows of one run_montecarlo draw: the nontrivial ones are decoded at once
 _DRAW_ROWS = 4096
@@ -160,7 +160,8 @@ def exact_rate(
     ``S_ch``, the stabilizers on the excited axes alone.  So the successes of
     weight w are the weight-w members of the cosets ``c(s) + S_ch``, counted
     by :func:`_coset_weights`, and the rest of the ``C(n, w) * labels**w``
-    errors of weight w fail.  Work (syndromes x ``S_ch`` edges x (n + 1))
+    errors of weight w fail.  Work, syndromes x (``S_ch`` edges x (n + 1) +
+    decoder edges), with the edges of ``trellises`` or else of the profiles,
     beyond ``_EXACT_WORK``, or counts beyond int64, raise CapacityError before
     any trellis is built; ``"block"`` always does, with 2^24 Z-noise syndromes
     on level-2 Steane.  ``trellises`` reuses or caps the decoder's trellises.
@@ -172,11 +173,14 @@ def exact_rate(
     unit = np.eye(2 * n, dtype=np.int64)[excited]
     red, _, rk = ffield.rref(measure_syndromes(code, decoder, unit[:, :n], unit[:, n:]), p)
     stab = ffield.kernel(G[:, ~excited].T, p) @ G % p
-    budget = _EXACT_WORK // (p**rk * (n + 1))
+    gens = [from_symplectic(row, p) for row in stab]
+    edges = sum(t.total_edges if isinstance(t, Trellis) else _resolve(t)[2].total_edges
+                for t in (trellises or _decoder_sources(code, decoder)).values())
+    budget = (_EXACT_WORK // p**rk - edges) // (n + 1)
     # a trellis on n sites has n edges or more; p**(rk + len(stab)) errors are corrected
     if budget < n or p ** (rk + len(stab)) >= 2**63:
         raise CapacityError(f"exact_rate exceeds its work cap of {_EXACT_WORK} at n={n}, or int64 counts")
-    t = build([from_symplectic(row, p) for row in stab], max_edges=budget) if len(stab) else None
+    t = build(gens, max_edges=budget) if gens else None
     if trellises is None:
         trellises = build_trellises(code, decoder)
     weights = mode_weights(code, decoder, channel)
@@ -196,17 +200,20 @@ def exact_rate(
     return sum(c * keep ** (n - w) * site**w for w, c in enumerate(fails))
 
 
-def build_trellises(
-    code: StabilizerCode, decoder: str, *, max_edges: int = MAX_EDGES
-) -> dict[str, Trellis]:
-    """The trellis set a decoder mode needs for a given code."""
+def _decoder_sources(code: StabilizerCode, decoder: str) -> dict:
+    """What each trellis of a decoder mode is built from, by its key."""
     if decoder == "full":
-        return {"full": build(code, max_edges=max_edges)}
+        return {"full": code}
     if decoder == "css":
-        return {key: build(part, max_edges=max_edges) for key, part in zip("xz", css_split(code))}
+        return dict(zip("xz", css_split(code)))
     if decoder == "block":
-        return {"inner": build(css_split(builtin("steane"))[0], max_edges=max_edges)}
+        return {"inner": css_split(builtin("steane"))[0]}
     raise SimError(f"unknown decoder mode {decoder!r}")
+
+
+def build_trellises(code: StabilizerCode, decoder: str, *, max_edges: int = MAX_EDGES) -> dict[str, Trellis]:
+    """The trellis set a decoder mode needs for a given code."""
+    return {key: build(src, max_edges=max_edges) for key, src in _decoder_sources(code, decoder).items()}
 
 
 def run_montecarlo(

@@ -63,7 +63,7 @@ class TrellisLayer:
 
     def labels(self) -> np.ndarray:
         """All vertex labels in index order, shape (size, label_width)."""
-        return (ffield.span(self.basis, self.p) + self.offset) % self.p
+        return (ffield.span(self.basis, self.p).T + self.offset) % self.p
 
 
 def label_sums(p: int) -> np.ndarray:
@@ -233,9 +233,9 @@ def build(source, *, max_edges: int = MAX_EDGES) -> Trellis:
         # only the source pivots and the exponents are enumerated: each
         # target holds a run of p**(rk - r) consecutive edges
         cols = [m + c for c in layers[-1].pivots] + [2 * m, 2 * m + 1]
-        arr = ffield.span(red[:rk, cols].astype(np.int16), p)
-        flat = ffield.mixed_radix(arr[:, -2:], p).astype(np.min_scalar_type(p * p - 1))
-        sections.append(TrellisSection(p, ffield.mixed_radix(arr[:, :-2], p), flat, p ** (rk - r)))
+        arr = ffield.span(red[:rk, cols], p)
+        flat = ffield.mixed_radix(arr[-2:], p).astype(np.min_scalar_type(p * p - 1))
+        sections.append(TrellisSection(p, ffield.mixed_radix(arr[:-2], p), flat, p ** (rk - r)))
         basis = red[:r, :m].copy()
         layers.append(TrellisLayer(p, basis, tuple(pivots[:r]), np.zeros(m, dtype=np.int64)))
     return Trellis(p, n, tuple(layers), tuple(sections), prof, L)
@@ -354,20 +354,21 @@ def serialize(t: Trellis) -> bytes:
     sources and its flat labels in their own dtype; the int16 ``(2n, m)``
     label matrix; and last the CRC-32 of every byte before it.  Layer sizes
     and ranks, edge counts and targets are the profile's, on disk as in memory.
+    Each array is copied once, as one join of the parts the CRC-32 folds over.
     """
-    out = bytearray(_MAGIC)
-    out += struct.pack("<HHIIH", _VERSION, t.p, t.n, t.label_matrix.shape[1], t.profile.dim)
-    out += struct.pack(f"<{2 * t.n + 2}I", *t.profile.dim_past, *t.profile.dim_future)
+    prof = t.profile
+    head = (_VERSION, t.p, t.n, t.label_matrix.shape[1], prof.dim, *prof.dim_past, *prof.dim_future)
+    parts = [_MAGIC, struct.pack(f"<HHIIH{2 * t.n + 2}I", *head)]
     for layer in t.layers:
-        out += struct.pack(f"<{len(layer.pivots)}I", *layer.pivots)
-        out += layer.basis.astype(np.int16).tobytes()
-        out += layer.offset.astype(np.int16).tobytes()
+        parts.append(struct.pack(f"<{len(layer.pivots)}I", *layer.pivots))
+        parts += [np.ascontiguousarray(a, dtype="<i2") for a in (layer.basis, layer.offset)]
     for sec in t.sections:
-        out += sec.source.astype(np.int64).tobytes()
-        out += sec.flat_label.tobytes()
-    out += t.label_matrix.astype(np.int16).tobytes()
-    out += struct.pack("<I", zlib.crc32(out))
-    return bytes(out)
+        parts += [np.ascontiguousarray(sec.source, dtype="<i8"), np.ascontiguousarray(sec.flat_label)]
+    parts.append(np.ascontiguousarray(t.label_matrix, dtype="<i2"))
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([*parts, struct.pack("<I", crc)])
 
 
 def deserialize(data: bytes) -> Trellis:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import struct
 import time
 from dataclasses import replace
@@ -38,6 +39,13 @@ def test_profile_csv_split(runner):
     rows = list(csv.DictReader(result.output.splitlines()[:11]))
     assert len(rows) == 10
     assert sum(int(r["vertices"]) for r in rows) == 22
+
+
+def test_build_reports_its_build_and_serialize_seconds(runner, tmp_path):
+    result = runner.invoke(main, ["build", "--code", "five_one_three", "--out", str(tmp_path / "t")])
+    assert result.exit_code == 0
+    (line,) = result.output.splitlines()
+    assert re.fullmatch(r"wrote \d+ bytes: \|V\| = 42, \|E\| = 104; build \d+\.\d{3} s, serialize \d+\.\d{3} s", line)
 
 
 def test_build_census_decode_round_trip(runner, tmp_path):

@@ -102,3 +102,25 @@ def test_rref_properties_random(p, rows, cols, seed):
     assert sorted(pivots) == list(pivots)
     ker = ffield.kernel(m, p)
     assert rk + ker.shape[0] == cols
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_span_lists_every_combination_column_major_in_lexicographic_order(p):
+    rows = np.random.default_rng(p).integers(0, p, size=(3, 4))
+    out = ffield.span(rows, p)
+    assert out.shape == (4, p**3) and out.dtype == np.min_scalar_type(2 * p - 2)
+    expect = [np.dot(coeffs, rows) % p for coeffs in itertools.product(range(p), repeat=3)]
+    assert np.array_equal(out.T, expect)
+    empty = ffield.span(np.zeros((0, 4), dtype=np.int64), p)
+    assert empty.shape == (4, 1) and not empty.any()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_mixed_radix_inverts_the_digit_order(p):
+    """Column j of the digits of every index, first digit most significant, collapses to j."""
+    digits = np.array(list(itertools.product(range(p), repeat=3))).T.astype(np.uint8)
+    idx = ffield.mixed_radix(digits, p)
+    assert idx.dtype == np.int64 and np.array_equal(idx, np.arange(p**3))
+    assert np.array_equal(ffield.mixed_radix(ffield.span(np.eye(3, dtype=np.int64), p), p), np.arange(p**3))
+    assert np.array_equal(ffield.mixed_radix(digits[:0], p), np.zeros(p**3))
+

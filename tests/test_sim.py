@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ def test_exact_rate_refuses_the_block_decoder():
     code = code_mod.builtin("steane_level2")
     with pytest.raises(CapacityError, match="work cap"):
         exact_rate(code, ChannelSpec("dephasing_z", 0.05), "block")
+
+
+def test_exact_rate_charges_each_decode_to_its_work_cap(monkeypatch):
+    """[[20,4,6]] under Z noise has a trivial ``S_ch`` but 2^16 decodes over 1,223,336 edges.
+
+    The decodes alone exceed the cap, and the refusal comes from the profiles,
+    before any trellis is built.
+    """
+    code = code_mod.builtin("codetable_20_4_6")
+    monkeypatch.setattr(sim_mod, "build", None)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="work cap"):
+        exact_rate(code, ChannelSpec("dephasing_z", 0.05), "full")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_exact_rate_refuses_counts_beyond_int64():

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,10 +229,12 @@ def _v1_bytes(t: Trellis) -> bytes:
 
 
 # SHA-256 of the format-v1 bytes of build(...) for the normalizer and both
-# CSS parts of the built-ins, so the digests pin every array build makes;
-# the [[20,3,6]] and [[20,4,6]] normalizers and the d = 9 surface code
-# (about 3.5 s together) are left out for time
+# CSS parts of the built-ins, so the digests pin every array build makes,
+# the widest builds included: the [[20,3,6]] and [[20,4,6]] normalizers and
+# the d = 9 surface code
 _GOLDEN = {
+    ("codetable_20_3_6", None, "full"): "8e354178737b12f658febbfebf8aa6c9e350608410c9afa0eac7111edd1f35c5",
+    ("codetable_20_4_6", None, "full"): "d3d68691d81db094af0e4ba27405571eafa071f0c1810999163ad24f6da977a3",
     ("codetable_20_10_4", None, "full"): "168a8bb2cf0c3983655a40ace121e40f32cb72090396d82cb1befa0ef284bb3f",
     ("codetable_20_13_3", None, "full"): "c39ebfb1b0a97de2a8e2992d96c66a6e18a4c0eaa6b9f6b6105f7f516120119b",
     ("color_488", 3, "full"): "acaea50c408f2476a5ce54c61b8c2fdb44aa9079fc2448c0444d11de2e969064",
@@ -260,6 +263,9 @@ _GOLDEN = {
     ("rotated_surface", 5, "z"): "181f558c05bbed9b867f7b65f1d6414a590db92d62939c35e2f0d3b4fd682edf",
     ("rotated_surface", 7, "x"): "6cc1b4f882042579b2cd0d3d7aa82aab30af5f94cd10228e8c576a3ee4bb819e",
     ("rotated_surface", 7, "z"): "a17bd29cc620202b932c71ee36e641c1f90481417c4293b44bf5f6731701fa67",
+    ("rotated_surface", 9, "full"): "f8c897b5aaa5169837004252fa2a82bf08f6a303212178db2a534b80ef4a3be4",
+    ("rotated_surface", 9, "x"): "09ae11e039fb9ffdf3b804d775dbebf8922a449febd6472d381308b8524d4152",
+    ("rotated_surface", 9, "z"): "31196f6d4a002ce9bfd4874bb3cfe60626e59cffd9861b3d734fcb95dcbd7521",
     ("steane", None, "full"): "d6dce471882c133ae41985e7bcad6eaad6699ea2150b1844c8c906479673e102",
     ("steane", None, "x"): "c1b43af7822d2af3d794d7a22d805d0da04f53ef0a00d0c752748d7b26487827",
     ("steane", None, "z"): "2b7c0e3f92600c07bdeb6beb0a7fa754a9805afc43c94cb5a08666cf46b1ddf7",
@@ -310,6 +316,25 @@ def test_an_edge_stores_its_source_and_flat_label_alone():
     exact_rate(small_code, channel, "full", trellises={"full": small})
     for trellis in (t, shifted, small):
         assert stored(trellis) <= 9 * trellis.total_edges
+
+
+def _traced_peak(call):
+    """``call()`` and the peak bytes tracemalloc saw allocated during it."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_widest_build_and_its_serialization_copy_each_array_little():
+    """[[20,4,6]]: a build peaks under 2.5x its section arrays, and ``serialize`` under 1.5x its stream."""
+    code = code_mod.builtin("codetable_20_4_6")
+    t, peak = _traced_peak(lambda: build(code))
+    assert peak <= 2.5 * sum(sec.source.nbytes + sec.flat_label.nbytes for sec in t.sections)
+    blob, peak = _traced_peak(lambda: serialize(t))
+    assert peak <= 1.5 * len(blob)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 17])
