@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 2 validation error (including a ``--distance``
 given with a fixed built-in code or a code file, or one whose family code
-has more than ``code.MAX_BUILTIN_QUBITS`` qubits; an empty ``simulate``
-grid; a ``fit`` input with fewer than three distances, fewer than four
-points at one distance, more than one decoder or channel, or more than one
-code at one distance; and a ``fit`` whose threshold or exponent lands on an
-edge of its search box), 3 resource cap exceeded (including a ``simulate``
+has more than ``code.MAX_BUILTIN_QUBITS`` qubits; a decoder mode not in
+``decode.MODES``, refused with DecodeError; an empty ``simulate`` grid; a
+``fit`` input with fewer than three distances, fewer than four points at
+one distance, more than one decoder or channel, or more than one code at
+one distance; and a ``fit`` whose threshold or exponent lands on an edge
+of its search box), 3 resource cap exceeded (including a ``simulate``
 grid of more than 10,000 points), 4 I/O or format error
 (including a trellis of a group other than the code's, a trellis file of a
 format version other than 3, to be rebuilt with ``build``, a trellis file
@@ -28,10 +29,9 @@ from . import code as code_mod
 from . import sim as sim_mod
 from . import trellis as trellis_mod
 from .code import CodeError
+from .decode import MODES, DecodeError, mode_sources, weights_from_channel
 from .decode import decode as decode_syndrome
-from .decode import weights_from_channel
 from .pauli import format_pauli
-from .decode import DecodeError
 from .sim import SimError
 from .trellis import CapacityError, TrellisError
 
@@ -89,11 +89,13 @@ def _parse_channel(text: str) -> sim_mod.ChannelSpec:
     return sim_mod.ChannelSpec(kind, float(rate))
 
 
+# the trellises built from the code itself, by key; block's is a Steane part
+_SPLITS = [*MODES["full"], *MODES["css"]]
+
+
 def _build_source(c, split: str):
-    if split == "full":
-        return c
-    x_part, z_part = code_mod.css_split(c)
-    return x_part if split == "x" else z_part
+    mode = next(mode for mode, axes in MODES.items() if split in axes)
+    return mode_sources(c, mode)[split]
 
 
 @click.group()
@@ -104,16 +106,14 @@ def main():
 @main.command(name="profile")
 @click.option("--code", "code_name", required=True)
 @click.option("--distance", type=int, default=None)
-@click.option("--split", type=click.Choice(["full", "x", "z"]), default="full")
+@click.option("--split", type=click.Choice(_SPLITS), default="full")
 @click.option("--order", "order_file", default=None)
 @click.option("--format", "fmt", type=click.Choice(["text", "csv"]), default="text")
 @_guard
 def profile_cmd(code_name, distance, split, order_file, fmt):
     """Per-depth trellis dimensions and totals, without building."""
     c = _load_code(code_name, distance, order_file)
-    source = _build_source(c, split)
-    tof = source.normalizer_tof() if split == "full" else source.tof()
-    prof = code_mod.profile(tof)
+    _, _, prof = trellis_mod._resolve(_build_source(c, split))
     rows = []
     for i in range(prof.n + 1):
         rows.append(
@@ -147,7 +147,7 @@ def profile_cmd(code_name, distance, split, order_file, fmt):
 @main.command(name="build")
 @click.option("--code", "code_name", required=True)
 @click.option("--distance", type=int, default=None)
-@click.option("--split", type=click.Choice(["full", "x", "z"]), default="full")
+@click.option("--split", type=click.Choice(_SPLITS), default="full")
 @click.option("--order", "order_file", default=None)
 @click.option("--out", "out_file", required=True)
 @click.option("--max-edges", type=int, default=trellis_mod.MAX_EDGES)
@@ -224,7 +224,7 @@ def decode_cmd(trellis_file, code_name, distance, syndrome, channel_text):
 @click.option("--p-step", type=float, required=True)
 @click.option("--samples", type=int, required=True)
 @click.option("--seed", type=int, default=0)
-@click.option("--decoder", type=click.Choice(["full", "css", "block"]), default="full")
+@click.option("--decoder", type=click.Choice(list(MODES)), default="full")
 @click.option("--out", "out_file", required=True)
 @click.option("--max-edges", type=int, default=trellis_mod.MAX_EDGES)
 @_guard

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import _QUBIT_CHARS, PauliString, from_symplectic, mul
-from .code import StabilizerCode
+from .code import StabilizerCode, builtin, css_split
 from .trellis import Trellis, TrellisError, label_sums
 
 SUCCESS = "success"
@@ -80,19 +80,36 @@ def weights_from_channel(channel, n: int, *, p: int = 2, css_axis: str | None = 
     return WeightTable(p, n, np.broadcast_to(w, (n, p, p)).copy())
 
 
-# the css_axis of each trellis of a decoder mode; the block decoder takes
-# one table over all n sites and slices it per inner block
-_MODE_AXES = {"full": {"full": None}, "css": {"x": "X", "z": "Z"}, "block": {"inner": "X"}}
+# every decoder mode: its trellises by key, each with the css axis that picks
+# its weight table and the check rows it reads (None: all).  ``block`` slices
+# one table over all n sites per inner block of its 7-site trellis.
+MODES = {"full": {"full": None}, "css": {"x": "X", "z": "Z"}, "block": {"inner": "X"}}
+
+
+def _mode_axes(mode: str) -> dict[str, str | None]:
+    if mode not in MODES:
+        raise DecodeError(f"unknown decoder mode {mode!r}")
+    return MODES[mode]
+
+
+def _axis_rows(code: StabilizerCode, axis: str | None):
+    """The check rows that a trellis of css axis ``axis`` reads."""
+    return slice(None) if axis is None else code.css_rows["XZ".index(axis)]
+
+
+def mode_sources(code: StabilizerCode, mode: str) -> dict:
+    """What each trellis of a decoder mode is built from: the code or a CSS part (Steane's for ``block``)."""
+    axes = _mode_axes(mode)
+    if None in axes.values():
+        return {key: code for key in axes}
+    parts = dict(zip("XZ", css_split(builtin("steane") if mode == "block" else code)))
+    return {key: parts[axis] for key, axis in axes.items()}
 
 
 def mode_weights(code: StabilizerCode, mode: str, channel) -> dict[str, WeightTable]:
     """Weight tables of a channel for the trellises of a decoder mode, keyed like them."""
-    if mode not in _MODE_AXES:
-        raise DecodeError(f"unknown decoder mode {mode!r}")
-    return {
-        key: weights_from_channel(channel, code.n, p=code.p, css_axis=axis)
-        for key, axis in _MODE_AXES[mode].items()
-    }
+    axes = _mode_axes(mode)
+    return {key: weights_from_channel(channel, code.n, p=code.p, css_axis=axes[key]) for key in axes}
 
 
 def _syndrome_rows(code: StabilizerCode, S) -> np.ndarray:
@@ -175,17 +192,18 @@ def viterbi(t: Trellis, weights: WeightTable) -> tuple[PauliString, float]:
 
 
 def _decode_part(
-    code: StabilizerCode, t: Trellis, weights: WeightTable, S: np.ndarray, T: np.ndarray, cols
+    code: StabilizerCode, t: Trellis, weights: WeightTable, S: np.ndarray, T: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Viterbi over ``t`` shifted by the pure errors ``S @ T``.
 
-    ``cols`` selects the pure-error columns that the rows of ``T`` can
-    reach; the others stay zero.  A batch whose syndromes are all zero
-    decodes the zero syndrome once and broadcasts it.
+    Only the columns where ``T`` is nonzero are multiplied out (a CSS
+    part's rows reach one half); the others stay zero.  A batch whose
+    syndromes are all zero decodes the zero syndrome once and broadcasts it.
     """
     n, count = code.n, S.shape[0]
     if not S.any():
         S = S[:1]
+    cols = T.any(axis=0)
     shift = np.zeros((S.shape[0], 2 * n), dtype=np.int64)
     shift[:, cols] = S @ T[:, cols] % code.p
     xs, zs, total = _viterbi_arrays(t, weights.table, shift[:, :n], shift[:, n:])
@@ -226,26 +244,23 @@ def _block_decode(
     return corr_x, corr_z, weights.table[np.arange(n), corr_x, corr_z].sum(axis=1)
 
 
-def measure_syndromes(
-    code: StabilizerCode, mode: str, err_x: np.ndarray, err_z: np.ndarray
-) -> np.ndarray:
+def measure_syndromes(code: StabilizerCode, mode: str, err_x: np.ndarray, err_z: np.ndarray) -> np.ndarray:
     """Syndromes of a batch of errors as ``mode`` reads them, shape (count, m).
 
-    ``full`` measures every row.  ``css`` and ``block`` compute each CSS
-    part's rows from the one exponent half it sees and skip a half that is
-    all zero; ``block`` reads only the X-check rows and handles Z noise only.
+    Each trellis of the mode fills the check rows it reads from the exponent
+    halves they see, skipping a half that is all zero: an X check sees no x
+    exponent, a Z check no z exponent.  ``block`` handles Z noise only.
     """
     C, n, p = code.check_matrix, code.n, code.p
-    if mode == "full":
-        return (err_x @ C[:, :n].T + err_z @ C[:, n:].T) % p
     if mode == "block" and err_x.any():
         raise DecodeError("block decoding handles single-axis Z noise only")
-    x_rows, z_rows = code.css_rows
     S = np.zeros((err_x.shape[0], C.shape[0]), dtype=np.int64)
-    S[:, x_rows] = err_z @ C[x_rows, n:].T % p
-    if mode == "css" and err_x.any():
-        S[:, z_rows] = err_x @ C[z_rows, :n].T % p
-    return S
+    for axis in _mode_axes(mode).values():
+        rows = _axis_rows(code, axis)
+        for half, cols, blind in ((err_x, slice(None, n), "X"), (err_z, slice(n, None), "Z")):
+            if axis != blind and half.any():
+                S[:, rows] += half @ C[rows, cols].T
+    return S % p
 
 
 def logical_flags(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -262,17 +277,21 @@ def logical_flags(code: StabilizerCode, x: np.ndarray, z: np.ndarray) -> np.ndar
 def _check_trellises(
     code: StabilizerCode, trellises: dict[str, Trellis], mode: str, weights: dict[str, WeightTable]
 ) -> None:
-    """Refuse the trellises or weight tables of another system or group.
+    """Refuse the trellises or weight tables of another mode, system or group.
 
-    Every trellis must act on the code's p and n sites (7 for ``block``).
-    A ``full`` trellis must span the normalizer, of dimension 2n - m, and a
-    ``css`` part the strings with zero syndrome against its checks, of
-    dimension n minus their count.  Its vertex labels must be the partial
-    syndromes against exactly those checks.  ``block`` gets neither check.
+    Both are keyed as the mode's trellises in ``MODES``.  Every trellis must
+    act on the code's p and n sites (7 for ``block``).  A ``full`` trellis
+    must span the normalizer, of dimension 2n - m, and a CSS part the
+    strings with zero syndrome against its checks, of dimension n minus
+    their count.  Its vertex labels must be the partial syndromes against
+    exactly those checks.  ``block`` gets neither check.
     """
+    axes = _mode_axes(mode)
+    keys, given = sorted(axes), (sorted(trellises), sorted(weights))
+    if given != (keys, keys):
+        raise TrellisError(f"mode {mode!r} reads the trellises {keys}, given {given[0]} and weights {given[1]}")
     n, p, C = code.n, code.p, code.check_matrix
-    rows = dict(zip("xz", code.css_rows)) if mode == "css" else {"full": slice(None)}
-    for key in _MODE_AXES[mode]:
+    for key, axis in axes.items():
         t, w = trellises[key], weights[key]
         if t.n != (7 if mode == "block" else n) or t.p != p:
             raise TrellisError("trellis acts on a different system")
@@ -280,8 +299,8 @@ def _check_trellises(
             raise DecodeError("weight table does not match the code")
         if mode == "block":
             continue
-        checks = C[rows[key]]
-        dim = (2 * n if mode == "full" else n) - checks.shape[0]
+        checks = C[_axis_rows(code, axis)]
+        dim = (2 * n if axis is None else n) - checks.shape[0]
         if t.profile.dim != dim:
             raise TrellisError(f"trellis {key!r} spans dimension {t.profile.dim}, the code's group {dim}")
         if not np.array_equal(t.label_matrix, checks.T):
@@ -299,35 +318,27 @@ def _chunk_rows(widest: int) -> int:
 
 
 def decode_syndromes(
-    code: StabilizerCode,
-    trellises: dict[str, Trellis],
-    mode: str,
-    weights: dict[str, WeightTable],
-    S: np.ndarray,
+    code: StabilizerCode, trellises: dict[str, Trellis], mode: str, weights: dict[str, WeightTable], S: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimum-weight corrections for a batch of syndromes, shape (count, m).
 
     Each syndrome is mapped to a pure error by ``code.pure_error_map`` and
     the zero-syndrome trellises are shifted by it on the fly, so the result
-    depends on the syndrome alone.  ``mode`` is ``"full"`` (trellis key
-    ``"full"``), ``"css"`` (the X-check trellis ``"x"`` yields the Z
-    corrections, the Z-check trellis ``"z"`` the X corrections) or
-    ``"block"`` (level-2 Steane on the 7-qubit X-check trellis ``"inner"``).
-    ``weights`` holds one WeightTable per key (see :func:`mode_weights`).
+    depends on the syndrome alone.  ``trellises`` and ``weights`` are keyed
+    as the trellises of ``mode`` in ``MODES`` (see :func:`mode_sources` and
+    :func:`mode_weights`), and each trellis reads the rows of its css axis.
     Returns the x and z exponents of the corrections, each (count, n), and
     their weights.  A correction ``c`` carries its syndrome, the syndrome of
     the error ``E``, so the residual to judge is ``E - c``, not ``E + c``
-    (the two differ for p > 2).  Trellises of another system or group raise
-    TrellisError (see :func:`_check_trellises`).  Rows are decoded in
+    (the two differ for p > 2).  Trellises of another mode, system or group
+    raise TrellisError (see :func:`_check_trellises`).  Rows are decoded in
     chunks sized so that no kernel temporary exceeds ``_EDGE_BUDGET``
     entries, unless one row alone does; each row's result does not depend
     on the chunk it falls in.
     """
-    if mode not in _MODE_AXES:
-        raise DecodeError(f"unknown decoder mode {mode!r}")
     S = _syndrome_rows(code, S)
     _check_trellises(code, trellises, mode, weights)
-    widest = max(sec.size for key in _MODE_AXES[mode] for sec in trellises[key].sections)
+    widest = max(sec.size for t in trellises.values() for sec in t.sections)
     step = _chunk_rows(widest)
     if S.shape[0] <= step:
         return _decode_chunk(code, trellises, mode, weights, S)
@@ -339,26 +350,19 @@ def decode_syndromes(
 
 
 def _decode_chunk(
-    code: StabilizerCode,
-    trellises: dict[str, Trellis],
-    mode: str,
-    weights: dict[str, WeightTable],
-    S: np.ndarray,
+    code: StabilizerCode, trellises: dict[str, Trellis], mode: str, weights: dict[str, WeightTable], S: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chunk of :func:`decode_syndromes`, with ``S`` already reduced mod p."""
-    n = code.n
+    """One chunk of :func:`decode_syndromes`, with ``S`` already reduced mod p.
+
+    The parts add: a CSS code's pure-error map is block-diagonal, so each
+    part's correction is zero in the half that the other part fills.
+    """
     T = code.pure_error_map
-    # the map of a CSS code is block-diagonal: each part reads its own
-    # syndrome rows and fills one half of the pure error
-    if mode == "full":
-        return _decode_part(code, trellises["full"], weights["full"], S, T, slice(None))
-    if mode == "css":
-        x_rows, z_rows = code.css_rows
-        tx, tz = trellises["x"], trellises["z"]
-        _, corr_z, wx = _decode_part(code, tx, weights["x"], S[:, x_rows], T[x_rows], slice(n, None))
-        corr_x, _, wz = _decode_part(code, tz, weights["z"], S[:, z_rows], T[z_rows], slice(None, n))
-        return corr_x, corr_z, wx + wz
-    return _block_decode(code, trellises["inner"], weights["inner"], S, T)
+    if mode == "block":
+        return _block_decode(code, trellises["inner"], weights["inner"], S, T)
+    rows = {key: _axis_rows(code, axis) for key, axis in MODES[mode].items()}
+    parts = [_decode_part(code, trellises[key], weights[key], S[:, r], T[r]) for key, r in rows.items()]
+    return tuple(sum(arrays[1:], arrays[0]) for arrays in zip(*parts))
 
 
 def classify_residual(
@@ -395,8 +399,8 @@ def _decode_one(
     if not np.isfinite(total[0]):
         raise DecodeError("no finite-weight path through the trellis")
     correction = PauliString(code.p, corr_x[0], corr_z[0])
-    rows = code.css_rows[0] if mode == "block" else slice(None)
-    if np.any((code.check_matrix[rows] @ correction.symplectic() - s[rows]) % code.p):
+    residue = (code.check_matrix @ correction.symplectic() - s) % code.p
+    if any(residue[_axis_rows(code, axis)].any() for axis in MODES[mode].values()):
         cls, flags = INCONSISTENT, ()
     elif true_error is None:
         cls, flags = SUCCESS, ()

@@ -135,17 +135,31 @@ def commutation_matrix(gens: list[PauliString]) -> np.ndarray:
     return commutation_rows(symplectic_matrix(gens), gens[0].p)
 
 
+def _partial_syndromes(sym: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
+    """Labels of symplectic rows ``(..., 2n)`` at every depth, shape ``(..., n + 1, m)``.
+
+    Entry ``[..., i, :]`` is the row with the sites past ``i`` zeroed, times
+    ``L``: one cumulative sum of the per-site contributions.
+    """
+    n = L.shape[0] // 2
+    site = sym[..., :n, None] * L[:n] + sym[..., n:, None] * L[n:]
+    out = np.zeros(sym.shape[:-1] + (n + 1, L.shape[1]), dtype=np.int64)
+    np.cumsum(site, axis=-2, out=out[..., 1:, :])
+    return out % p
+
+
 def partial_syndrome(gens: list[PauliString], P: PauliString, i: int) -> np.ndarray:
     """Syndrome of the depth-``i`` prefix of ``P`` against ``gens``.
 
-    Component j is ``sym_inner(gens[j], prefix(P, i))``: one product of the
-    ``[-z | x]`` rows of ``gens`` with the prefix's ``[x | z]`` vector.
+    Component j is ``sym_inner(gens[j], prefix(P, i))``: row ``i`` of
+    :func:`_partial_syndromes` of ``P`` against the ``[-z | x]`` rows of ``gens``.
     """
-    Pi = prefix(P, i)
+    if not 0 <= i <= P.n:
+        raise IndexError(f"depth {i} out of range 0..{P.n}")
     if any(g.p != P.p or g.n != P.n for g in gens):
         raise ValueError("operands act on different systems")
     rows = symplectic_matrix(gens).reshape(len(gens), 2 * P.n)
-    return commutation_rows(rows, P.p) @ Pi.symplectic() % P.p
+    return _partial_syndromes(P.symplectic(), commutation_rows(rows, P.p).T, P.p)[i]
 
 
 def syndrome(gens: list[PauliString], P: PauliString) -> np.ndarray:

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import ffield
 from .pauli import PauliString, from_symplectic, symplectic_matrix
-from .code import StabilizerCode, builtin, css_split
+from .code import StabilizerCode
 from .trellis import MAX_EDGES, Trellis, CapacityError, _resolve, build, label_sums
-from .decode import _chunk_rows, decode_syndromes, logical_flags, measure_syndromes, mode_weights
+from .decode import _chunk_rows, decode_syndromes, logical_flags, measure_syndromes, mode_sources, mode_weights
 
 _WILSON_Z = 1.959963984540054  # 95%
 # exact_rate's cap on syndromes x (S_ch edges x (n + 1) + decoder edges); 6.6.6 d = 7 takes 1.2e10
@@ -92,14 +92,14 @@ class ThresholdFit:
 
 
 def _wilson(failures: int, samples: int) -> tuple[float, float]:
+    """95% Wilson interval of ``failures / samples``, samples > 0: exactly 0 or 1 at the edges."""
     z = _WILSON_Z
-    if samples == 0:
-        return 0.0, 1.0
     phat = failures / samples
     denom = 1.0 + z * z / samples
     center = (phat + z * z / (2 * samples)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / samples + z * z / (4 * samples**2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    half = z * math.sqrt(phat * (1 - phat) / samples + z * z / (4 * samples**2)) / denom
+    lo = 0.0 if failures == 0 else max(0.0, center - half)
+    return lo, 1.0 if failures == samples else min(1.0, center + half)
 
 
 def _sample_batch(
@@ -175,14 +175,13 @@ def exact_rate(
     stab = ffield.kernel(G[:, ~excited].T, p) @ G % p
     gens = [from_symplectic(row, p) for row in stab]
     edges = sum(t.total_edges if isinstance(t, Trellis) else _resolve(t)[2].total_edges
-                for t in (trellises or _decoder_sources(code, decoder)).values())
+                for t in (trellises or mode_sources(code, decoder)).values())
     budget = (_EXACT_WORK // p**rk - edges) // (n + 1)
     # a trellis on n sites has n edges or more; p**(rk + len(stab)) errors are corrected
     if budget < n or p ** (rk + len(stab)) >= 2**63:
         raise CapacityError(f"exact_rate exceeds its work cap of {_EXACT_WORK} at n={n}, or int64 counts")
     t = build(gens, max_edges=budget) if gens else None
-    if trellises is None:
-        trellises = build_trellises(code, decoder)
+    trellises = trellises or build_trellises(code, decoder)
     weights = mode_weights(code, decoder, channel)
     step = _chunk_rows((max(sec.size for sec in t.sections) if t else 1) * (n + 1))
     powers = p ** np.arange(rk - 1, -1, -1, dtype=np.int64)
@@ -200,20 +199,9 @@ def exact_rate(
     return sum(c * keep ** (n - w) * site**w for w, c in enumerate(fails))
 
 
-def _decoder_sources(code: StabilizerCode, decoder: str) -> dict:
-    """What each trellis of a decoder mode is built from, by its key."""
-    if decoder == "full":
-        return {"full": code}
-    if decoder == "css":
-        return dict(zip("xz", css_split(code)))
-    if decoder == "block":
-        return {"inner": css_split(builtin("steane"))[0]}
-    raise SimError(f"unknown decoder mode {decoder!r}")
-
-
 def build_trellises(code: StabilizerCode, decoder: str, *, max_edges: int = MAX_EDGES) -> dict[str, Trellis]:
     """The trellis set a decoder mode needs for a given code."""
-    return {key: build(src, max_edges=max_edges) for key, src in _decoder_sources(code, decoder).items()}
+    return {key: build(src, max_edges=max_edges) for key, src in mode_sources(code, decoder).items()}
 
 
 def run_montecarlo(

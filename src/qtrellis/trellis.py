@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ffield
-from .pauli import PauliString, commutation_matrix, commutation_rows, symplectic_matrix
+from .pauli import PauliString, _partial_syndromes, commutation_matrix, commutation_rows, symplectic_matrix
 from .code import (
     CssPart,
     StabilizerCode,
@@ -156,19 +156,6 @@ class SectionCensus:
     counts: dict[tuple[int, int, int], int]
     mergers: int
     expansions: int
-
-
-def _partial_syndromes(sym: np.ndarray, L: np.ndarray, p: int) -> np.ndarray:
-    """Labels of symplectic rows ``(..., 2n)`` at every depth, shape ``(..., n + 1, m)``.
-
-    Entry ``[..., i, :]`` is the row with the sites past ``i`` zeroed, times
-    ``L``: one cumulative sum of the per-site contributions.
-    """
-    n = L.shape[0] // 2
-    site = sym[..., :n, None] * L[:n] + sym[..., n:, None] * L[n:]
-    out = np.zeros(sym.shape[:-1] + (n + 1, L.shape[1]), dtype=np.int64)
-    np.cumsum(site, axis=-2, out=out[..., 1:, :])
-    return out % p
 
 
 def _resolve(source):

@@ -154,7 +154,8 @@ def reference_build(source):
     edges by (target, source, label).  Returns ``[(basis, pivots)]`` per
     layer and ``[(source, target, label)]`` per section.
     """
-    from qtrellis.trellis import _partial_syndromes, _resolve
+    from qtrellis.pauli import _partial_syndromes
+    from qtrellis.trellis import _resolve
 
     tof, L, _ = _resolve(source)
     p, n, m = tof.p, tof.n, L.shape[1]

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 
 from qtrellis import code as code_mod
 from qtrellis.cli import main
+from qtrellis.decode import MODES
 from qtrellis.trellis import build, deserialize, serialize
 
 from conftest import with_edge_entry
@@ -39,6 +40,11 @@ def test_profile_csv_split(runner):
     rows = list(csv.DictReader(result.output.splitlines()[:11]))
     assert len(rows) == 10
     assert sum(int(r["vertices"]) for r in rows) == 22
+
+
+def test_decoder_choices_are_the_modes():
+    (option,) = [opt for opt in main.commands["simulate"].params if opt.name == "decoder"]
+    assert list(option.type.choices) == list(MODES)
 
 
 def test_build_reports_its_build_and_serialize_seconds(runner, tmp_path):

@@ -12,14 +12,15 @@ import pytest
 from qtrellis import code as code_mod
 from qtrellis import sim as sim_mod
 from qtrellis.code import profile
-from qtrellis.decode import decode_syndromes, logical_flags, measure_syndromes, mode_weights
+from qtrellis.decode import DecodeError, decode_syndromes, logical_flags, measure_syndromes, mode_weights
 from qtrellis.pauli import PauliString
-from qtrellis.trellis import CapacityError
+from qtrellis.trellis import CapacityError, TrellisError
 from qtrellis.sim import (
     ChannelSpec,
     DataPoint,
     SimError,
     _sample_batch,
+    _wilson,
     build_trellises,
     exact_rate,
     fit_threshold,
@@ -409,6 +410,10 @@ _GOLDEN_FAILURES = {
     ("steane_level2", None, "block", "dephasing_z", (0.03, 0.06), 16384): [
         (116, "0x1.67b0356e6d1bdp-8"), (928, "0x1.b99fbd4526610p-5"),
     ],
+    # both CSS parts decode nontrivial syndromes, and their corrections add
+    ("rotated_surface", 3, "css", "depolarizing", (0.05, 0.1), 16384): [
+        (1551, "0x1.1ebdd85e1f512p-5"), (3057, "0x1.d429f4c76f372p-4"),
+    ],
 }
 
 
@@ -430,6 +435,17 @@ def test_montecarlo_datapoint_fields():
     assert 0 <= pt.failures <= pt.samples
     assert 0.0 <= pt.ci_lo <= pt.rate_cond <= pt.ci_hi <= 1.0
     assert pt.rate_uncond <= pt.rate_cond
+
+
+def test_wilson_bounds_are_exact_at_the_edges():
+    """No failures bound the rate below by exactly 0, all failures above by exactly 1."""
+    for failures, samples in ((0, 3), (0, 1000), (3, 3), (1000, 1000), (7, 1000)):
+        lo, hi = _wilson(failures, samples)
+        assert type(lo) is float and type(hi) is float
+        assert (lo == 0.0) == (failures == 0) and (hi == 1.0) == (failures == samples)
+    code = code_mod.builtin("steane")
+    (pt,) = run_montecarlo(code, build_trellises(code, "css"), "depolarizing", [1e-4], 20, 1, decoder="css")
+    assert pt.failures == 0 and pt.ci_lo == 0.0 and type(pt.ci_lo) is float
 
 
 def _ansatz_points(distances, p_th=0.10, nu=1.5, noise=None):
@@ -487,5 +503,35 @@ def test_build_trellises_modes():
     assert set(build_trellises(code, "css")) == {"x", "z"}
     level2 = code_mod.builtin("steane_level2")
     assert set(build_trellises(level2, "block")) == {"inner"}
-    with pytest.raises(SimError):
+    with pytest.raises(DecodeError):
         build_trellises(code, "nonsense")
+
+
+def test_an_unknown_mode_raises_decode_error_at_every_entry_point():
+    code = code_mod.builtin("steane")
+    trellises = build_trellises(code, "full")
+    channel = ChannelSpec("depolarizing", 0.1)
+    weights = mode_weights(code, "full", channel)
+    calls = (
+        lambda: build_trellises(code, "nonsense"),
+        lambda: exact_rate(code, channel, "nonsense"),
+        lambda: exact_rate(code, channel, "nonsense", trellises=trellises),
+        lambda: run_montecarlo(code, trellises, "depolarizing", [0.1], 10, 1, decoder="nonsense"),
+        lambda: mode_weights(code, "nonsense", channel),
+        lambda: decode_syndromes(code, trellises, "nonsense", weights, np.zeros((1, 6), dtype=np.int64)),
+    )
+    for call in calls:
+        with pytest.raises(DecodeError, match="unknown decoder mode 'nonsense'"):
+            call()
+
+
+def test_a_trellis_set_of_another_mode_is_refused_by_name():
+    code = code_mod.builtin("steane")
+    css = build_trellises(code, "css")
+    channel = ChannelSpec("depolarizing", 0.1)
+    with pytest.raises(TrellisError, match=r"'full'.*\['full'\].*\['x', 'z'\]"):
+        run_montecarlo(code, css, "depolarizing", [0.1], 10, 1, decoder="full")
+    with pytest.raises(TrellisError, match=r"\['full'\].*\['x', 'z'\]"):
+        exact_rate(code, channel, "full", trellises=css)
+    with pytest.raises(TrellisError, match=r"\['x', 'z'\].*\['full'\]"):
+        decode_syndromes(code, css, "css", mode_weights(code, "full", channel), np.zeros((1, 6), dtype=np.int64))
