@@ -12,8 +12,8 @@ grid of more than 10,000 points), 4 I/O or format error
 (including a trellis of a group other than the code's, a trellis file of a
 format version other than 3, to be rebuilt with ``build``, a trellis file
 that fails its checksum or, for ``census`` and ``decode``, ``validate``, and
-a ``fit`` input without the results columns, ``code``, ``decoder`` and
-``channel`` among them, or with a malformed row).
+a ``fit`` input without a column of ``_RESULTS_COLUMNS`` other than
+``seed``, or with a malformed row).
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import csv
 import json
 import sys
 import time
+import typing
 
 import click
 import numpy as np
@@ -38,11 +39,9 @@ from .trellis import CapacityError, TrellisError
 # the most points a ``simulate`` grid may have; every documented grid has under 20
 _MAX_GRID_POINTS = 10_000
 
-# the columns of a results CSV that ``fit`` reads
-_FIT_COLUMNS = (
-    "distance", "p_phys", "samples", "failures", "rate_cond", "rate_uncond", "ci_lo", "ci_hi",
-    "code", "decoder", "channel",
-)
+# a results CSV row: the study, one DataPoint, and the seed; ``fit`` reads all but the seed
+_POINT_TYPES = typing.get_type_hints(sim_mod.DataPoint)
+_RESULTS_COLUMNS = ("code", "distance", "decoder", "channel", *_POINT_TYPES, "seed")
 
 
 def _fail(exit_code: int, message: str):
@@ -244,23 +243,13 @@ def simulate_cmd(
     grid = np.arange(p_min, p_max + p_step / 2, p_step)
     trellises = sim_mod.build_trellises(c, decoder, max_edges=max_edges)
     points = sim_mod.run_montecarlo(c, trellises, kind, grid, samples, seed, decoder=decoder)
+    study = [c.name or code_name, c.distance if c.distance is not None else "", decoder, kind]
     with open(out_file, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "code", "distance", "decoder", "channel", "p_phys", "samples",
-                "failures", "rate_cond", "rate_uncond", "ci_lo", "ci_hi", "seed",
-            ]
-        )
+        writer.writerow(_RESULTS_COLUMNS)
         for pt in points:
-            writer.writerow(
-                [
-                    c.name or code_name, c.distance if c.distance is not None else "",
-                    decoder, kind, f"{pt.p_phys:.10g}", pt.samples, pt.failures,
-                    f"{pt.rate_cond:.10g}", f"{pt.rate_uncond:.10g}",
-                    f"{pt.ci_lo:.10g}", f"{pt.ci_hi:.10g}", seed,
-                ]
-            )
+            fields = (getattr(pt, name) for name in _POINT_TYPES)
+            writer.writerow([*study, *(f"{v:.10g}" if isinstance(v, float) else v for v in fields), seed])
     click.echo(f"wrote {len(points)} points to {out_file}")
 
 
@@ -274,7 +263,7 @@ def fit_cmd(in_file):
     studies: set[tuple[str, str]] = set()
     with open(in_file, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        missing = [col for col in _FIT_COLUMNS if col not in (reader.fieldnames or ())]
+        missing = [col for col in _RESULTS_COLUMNS[:-1] if col not in (reader.fieldnames or ())]
         if missing:
             _fail(4, f"{in_file}: missing results column(s) {', '.join(missing)}")
         for row in reader:
@@ -282,11 +271,7 @@ def fit_cmd(in_file):
                 if None in row.values():
                     raise ValueError("short row")
                 d = int(row["distance"])
-                pt = sim_mod.DataPoint(
-                    float(row["p_phys"]), int(row["samples"]), int(row["failures"]),
-                    float(row["rate_cond"]), float(row["rate_uncond"]),
-                    float(row["ci_lo"]), float(row["ci_hi"]),
-                )
+                pt = sim_mod.DataPoint(*(kind(row[name]) for name, kind in _POINT_TYPES.items()))
             except ValueError:
                 _fail(4, f"{in_file}: line {reader.line_num}: a results field is missing or not a number")
             datasets.setdefault(d, []).append(pt)

@@ -508,16 +508,17 @@ STEANE_H = np.array(
 )
 
 
-def _x_string(n: int, support: list[int]) -> PauliString:
-    x = np.zeros(n, dtype=np.int64)
-    x[np.array(support) - 1] = 1
-    return PauliString(2, x, np.zeros(n, dtype=np.int64))
+def _checks(n: int, supports: list[list[int]], axis: str) -> list[PauliString]:
+    """One qubit check of Pauli ``axis`` ("X" or "Z") on each 1-based support."""
+    rows = np.zeros((len(supports), 2 * n), dtype=np.int64)
+    for row, support in zip(rows, supports):
+        row[np.array(support) - 1 + (0 if axis == "X" else n)] = 1
+    return [from_symplectic(row, 2) for row in rows]
 
 
-def _z_string(n: int, support: list[int]) -> PauliString:
-    z = np.zeros(n, dtype=np.int64)
-    z[np.array(support) - 1] = 1
-    return PauliString(2, np.zeros(n, dtype=np.int64), z)
+def _css_checks(n: int, supports: list[list[int]]) -> list[PauliString]:
+    """The X checks, then the Z checks, on the same supports."""
+    return _checks(n, supports, "X") + _checks(n, supports, "Z")
 
 
 def _rotated_surface(d: int) -> StabilizerCode:
@@ -550,8 +551,7 @@ def _rotated_surface(d: int) -> StabilizerCode:
         else:
             x_faces.append([label(a, 0), label(a + 1, 0)])
 
-    stabs = [_x_string(n, f) for f in sorted(x_faces)]
-    stabs += [_z_string(n, f) for f in sorted(z_faces)]
+    stabs = _checks(n, sorted(x_faces), "X") + _checks(n, sorted(z_faces), "Z")
     return new_code(2, stabs, name=f"rotated_surface({d})", distance=d)
 
 
@@ -568,8 +568,7 @@ def _color_666(d: int) -> StabilizerCode:
     for (r, c) in plaq:
         face = [index[(r + dr, c + dc)] for dr, dc in nbrs if (r + dr, c + dc) in index]
         faces.append(sorted(face))
-    stabs = [_x_string(n, f) for f in faces] + [_z_string(n, f) for f in faces]
-    code = new_code(2, stabs, name=f"color_666({d})", distance=d)
+    code = new_code(2, _css_checks(n, faces), name=f"color_666({d})", distance=d)
     return permute(code, greedy_numbering(code))
 
 
@@ -577,8 +576,7 @@ def _color_488(d: int) -> StabilizerCode:
     """Triangular 4.8.8 color code of odd distance d, greedy qudit numbering."""
     faces = _color_488_faces(d)
     n = max(max(f) for f in faces)
-    stabs = [_x_string(n, f) for f in faces] + [_z_string(n, f) for f in faces]
-    code = new_code(2, stabs, name=f"color_488({d})", distance=d)
+    code = new_code(2, _css_checks(n, faces), name=f"color_488({d})", distance=d)
     return permute(code, greedy_numbering(code))
 
 
@@ -653,30 +651,15 @@ def _five_one_three() -> StabilizerCode:
 
 
 def _steane() -> StabilizerCode:
-    stabs = []
-    for row in STEANE_H:
-        supp = list(np.nonzero(row)[0] + 1)
-        stabs.append(_x_string(7, supp))
-    for row in STEANE_H:
-        supp = list(np.nonzero(row)[0] + 1)
-        stabs.append(_z_string(7, supp))
-    return new_code(2, stabs, name="steane", distance=3)
+    supports = [np.flatnonzero(row) + 1 for row in STEANE_H]
+    return new_code(2, _css_checks(7, supports), name="steane", distance=3)
 
 
 def _steane_level2() -> StabilizerCode:
     """[[49,1,9]] level-2 Steane: checks are I (x) H and H (x) all-ones."""
-    n = 49
-    stabs_x, stabs_z = [], []
-    for block in range(7):
-        for row in STEANE_H:
-            supp = [7 * block + c + 1 for c in np.nonzero(row)[0]]
-            stabs_x.append(_x_string(n, supp))
-            stabs_z.append(_z_string(n, supp))
-    for row in STEANE_H:
-        supp = [7 * c + q + 1 for c in np.nonzero(row)[0] for q in range(7)]
-        stabs_x.append(_x_string(n, supp))
-        stabs_z.append(_z_string(n, supp))
-    return new_code(2, stabs_x + stabs_z, name="steane_level2", distance=9)
+    inner = [7 * block + np.flatnonzero(row) + 1 for block in range(7) for row in STEANE_H]
+    outer = [[7 * c + q + 1 for c in np.flatnonzero(row) for q in range(7)] for row in STEANE_H]
+    return new_code(2, _css_checks(49, inner + outer), name="steane_level2", distance=9)
 
 
 def _codetable(name: str) -> StabilizerCode:

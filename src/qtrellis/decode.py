@@ -12,7 +12,7 @@ import numpy as np
 
 from .pauli import _QUBIT_CHARS, PauliString, from_symplectic, mul
 from .code import StabilizerCode, builtin, css_split
-from .trellis import Trellis, TrellisError, label_sums
+from .trellis import MAX_EDGES, Trellis, TrellisError, build, label_sums
 
 SUCCESS = "success"
 LOGICAL_FAILURE = "logical_failure"
@@ -56,7 +56,9 @@ def weights_from_channel(channel, n: int, *, p: int = 2, css_axis: str | None = 
     from qubit labels to weights (taken verbatim).  ``css_axis="X"``
     produces the table for the X-stabilizer trellis whose labels are powers
     of Z, combining the probabilities of all labels with the same Z-part;
-    symmetrically for ``"Z"``.
+    symmetrically for ``"Z"``.  A combined probability is clamped at 1: the
+    unexcited axis sums ``1 - r`` and p - 1 copies of ``r / (p - 1)``, which
+    can round to ``1 + 2**-52``.
     """
     if isinstance(channel, dict):
         table = np.full((n, p, p), np.inf)
@@ -76,7 +78,7 @@ def weights_from_channel(channel, n: int, *, p: int = 2, css_axis: str | None = 
     else:
         raise DecodeError(f"unknown css axis {css_axis!r}")
     with np.errstate(divide="ignore"):
-        w = -np.log(full)
+        w = -np.log(np.minimum(full, 1.0))
     return WeightTable(p, n, np.broadcast_to(w, (n, p, p)).copy())
 
 
@@ -104,6 +106,11 @@ def mode_sources(code: StabilizerCode, mode: str) -> dict:
         return {key: code for key in axes}
     parts = dict(zip("XZ", css_split(builtin("steane") if mode == "block" else code)))
     return {key: parts[axis] for key, axis in axes.items()}
+
+
+def build_trellises(code: StabilizerCode, mode: str, *, max_edges: int = MAX_EDGES) -> dict[str, Trellis]:
+    """The trellises of a decoder mode for a given code, each built from its source once."""
+    return {key: build(src, max_edges=max_edges) for key, src in mode_sources(code, mode).items()}
 
 
 def mode_weights(code: StabilizerCode, mode: str, channel) -> dict[str, WeightTable]:
@@ -331,7 +338,9 @@ def decode_syndromes(
     their weights.  A correction ``c`` carries its syndrome, the syndrome of
     the error ``E``, so the residual to judge is ``E - c``, not ``E + c``
     (the two differ for p > 2).  Trellises of another mode, system or group
-    raise TrellisError (see :func:`_check_trellises`).  Rows are decoded in
+    raise TrellisError (see :func:`_check_trellises`), but their sections
+    are trusted: run :func:`qtrellis.trellis.validate` on a loaded trellis
+    first, as ``qtrellis decode`` does.  Rows are decoded in
     chunks sized so that no kernel temporary exceeds ``_EDGE_BUDGET``
     entries, unless one row alone does; each row's result does not depend
     on the chunk it falls in.
@@ -416,7 +425,11 @@ def decode(
     weights: WeightTable,
     true_error: PauliString | None = None,
 ) -> DecodeOutcome:
-    """Decode one syndrome on the normalizer trellis ``base``; verify and classify."""
+    """Decode one syndrome on the normalizer trellis ``base``; verify and classify.
+
+    ``base`` is trusted as :func:`decode_syndromes` trusts it: a loaded
+    trellis is checked with :func:`qtrellis.trellis.validate` first.
+    """
     return _decode_one(code, {"full": base}, "full", {"full": weights}, s, true_error)
 
 
@@ -430,7 +443,9 @@ def css_decode(
 ) -> DecodeOutcome:
     """Independent X/Z decoding of a CSS code; corrections multiplied.
 
-    ``channel`` is anything :func:`weights_from_channel` accepts.
+    ``channel`` is anything :func:`weights_from_channel` accepts.  The
+    trellises are trusted as :func:`decode_syndromes` trusts them: a loaded
+    trellis is checked with :func:`qtrellis.trellis.validate` first.
     """
     weights = mode_weights(code, "css", channel)
     return _decode_one(code, {"x": x_trellis, "z": z_trellis}, "css", weights, s, true_error)
@@ -450,6 +465,8 @@ def block_decode(
     the same trellis and lifts the result to full-block Z strings.  The
     sequential edge cost is twice one part trellis (36 + 36 = 72 edges)
     against 844 for the flat [[49,1,9]] X-part trellis.  Only the X-check
-    components of ``s`` are read and verified (Z noise assumed).
+    components of ``s`` are read and verified (Z noise assumed).  The inner
+    trellis is trusted: a loaded one is checked with
+    :func:`qtrellis.trellis.validate` first.
     """
     return _decode_one(code, {"inner": inner_trellis}, "block", {"inner": weights}, s, true_error)

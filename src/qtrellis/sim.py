@@ -14,8 +14,8 @@ import numpy as np
 from . import ffield
 from .pauli import PauliString, from_symplectic, symplectic_matrix
 from .code import StabilizerCode
-from .trellis import MAX_EDGES, Trellis, CapacityError, _resolve, build, label_sums
-from .decode import _chunk_rows, decode_syndromes, logical_flags, measure_syndromes, mode_sources, mode_weights
+from .trellis import MAX_EDGES, Trellis, CapacityError, build, label_sums
+from .decode import _chunk_rows, build_trellises, decode_syndromes, logical_flags, measure_syndromes, mode_weights
 
 _WILSON_Z = 1.959963984540054  # 95%
 # exact_rate's cap on syndromes x (S_ch edges x (n + 1) + decoder edges); 6.6.6 d = 7 takes 1.2e10
@@ -161,10 +161,12 @@ def exact_rate(
     weight w are the weight-w members of the cosets ``c(s) + S_ch``, counted
     by :func:`_coset_weights`, and the rest of the ``C(n, w) * labels**w``
     errors of weight w fail.  Work, syndromes x (``S_ch`` edges x (n + 1) +
-    decoder edges), with the edges of ``trellises`` or else of the profiles,
-    beyond ``_EXACT_WORK``, or counts beyond int64, raise CapacityError before
-    any trellis is built; ``"block"`` always does, with 2^24 Z-noise syndromes
-    on level-2 Steane.  ``trellises`` reuses or caps the decoder's trellises.
+    decoder edges), beyond ``_EXACT_WORK``, or counts beyond int64, raise one
+    CapacityError; ``"block"`` always does, with 2^24 Z-noise syndromes on
+    level-2 Steane.  The decoder's trellises are ``trellises``, or else built
+    once, each with the cap over the syndrome count as its edge limit, and
+    ``S_ch``'s with what the decodes leave: a build over its limit is refused
+    from its profile, before any edge is enumerated.
     """
     n, p, G = code.n, code.p, symplectic_matrix(list(code.stabilizers))
     # X is excited if a label with a nonzero X-exponent is possible, Z likewise
@@ -174,14 +176,18 @@ def exact_rate(
     red, _, rk = ffield.rref(measure_syndromes(code, decoder, unit[:, :n], unit[:, n:]), p)
     stab = ffield.kernel(G[:, ~excited].T, p) @ G % p
     gens = [from_symplectic(row, p) for row in stab]
-    edges = sum(t.total_edges if isinstance(t, Trellis) else _resolve(t)[2].total_edges
-                for t in (trellises or mode_sources(code, decoder)).values())
-    budget = (_EXACT_WORK // p**rk - edges) // (n + 1)
-    # a trellis on n sites has n edges or more; p**(rk + len(stab)) errors are corrected
-    if budget < n or p ** (rk + len(stab)) >= 2**63:
-        raise CapacityError(f"exact_rate exceeds its work cap of {_EXACT_WORK} at n={n}, or int64 counts")
-    t = build(gens, max_edges=budget) if gens else None
-    trellises = trellises or build_trellises(code, decoder)
+    cap = _EXACT_WORK // p**rk
+    refusal = CapacityError(f"exact_rate exceeds its work cap of {_EXACT_WORK} at n={n}, or int64 counts")
+    if p ** (rk + len(stab)) >= 2**63:  # the corrected errors, counted in int64
+        raise refusal
+    try:
+        trellises = trellises or build_trellises(code, decoder, max_edges=min(MAX_EDGES, cap))
+        budget = (cap - sum(t.total_edges for t in trellises.values())) // (n + 1)
+        if budget < n:  # a trellis on n sites has n edges or more
+            raise refusal
+        t = build(gens, max_edges=budget) if gens else None
+    except CapacityError:
+        raise refusal from None
     weights = mode_weights(code, decoder, channel)
     step = _chunk_rows((max(sec.size for sec in t.sections) if t else 1) * (n + 1))
     powers = p ** np.arange(rk - 1, -1, -1, dtype=np.int64)
@@ -197,11 +203,6 @@ def exact_rate(
     keep, site = float(probs[0, 0]), float(probs.ravel()[1:].max())
     fails = (math.comb(n, w) * labels**w - int(s) for w, s in enumerate(successes))
     return sum(c * keep ** (n - w) * site**w for w, c in enumerate(fails))
-
-
-def build_trellises(code: StabilizerCode, decoder: str, *, max_edges: int = MAX_EDGES) -> dict[str, Trellis]:
-    """The trellis set a decoder mode needs for a given code."""
-    return {key: build(src, max_edges=max_edges) for key, src in mode_sources(code, decoder).items()}
 
 
 def run_montecarlo(
@@ -283,9 +284,10 @@ def fit_threshold(datasets: dict[int, list[DataPoint]]) -> ThresholdFit:
     def solve(p_th: float, nu: float):
         x = (ps - p_th) * ds ** (1.0 / nu)
         design = np.stack([np.ones_like(x), x, x * x], axis=1)
-        if np.linalg.matrix_rank(design) < 3:
+        # lstsq's rank counts singular values over matrix_rank's tolerance, s_max * max(M, N) * eps
+        coef, _, rank, _ = np.linalg.lstsq(design, ys, rcond=None)
+        if rank < 3:
             return None, np.inf
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
         resid = float(((design @ coef - ys) ** 2).sum())
         return coef, resid
 

@@ -103,6 +103,23 @@ def test_simulate_then_fit(runner, tmp_path):
     assert "at least three distances" in result.output
 
 
+def test_simulate_css_dephasing_on_a_p5_code_file(runner, tmp_path):
+    """A p = 5 CSS code under Z dephasing at 0.2: its unexcited axis's marginal rounds past 1, and is clamped."""
+    code = tmp_path / "p5.qcode"
+    code.write_text("5 4 2\nSYMPLECTIC\n1,1,1,1,0,0,0,0\n0,0,0,0,1,1,1,2\n")
+    out = tmp_path / "results.csv"
+    result = runner.invoke(
+        main,
+        [
+            "simulate", "--code", str(code), "--decoder", "css", "--channel", "dephasing-z",
+            "--p-min", "0.2", "--p-max", "0.2", "--p-step", "0.1", "--samples", "200", "--out", str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    (row,) = csv.DictReader(out.open())
+    assert (row["distance"], row["decoder"], row["channel"], row["samples"]) == ("", "css", "dephasing_z", "200")
+
+
 def test_simulate_accepts_every_channel_kind(runner, tmp_path):
     """The choices are the channel kinds ChannelSpec accepts, dephasing-x included."""
     out = tmp_path / "results.csv"
@@ -178,7 +195,7 @@ def test_fit_rejects_a_csv_without_results_columns(runner, tmp_path):
     path.write_text("p_phys,failures\n0.1,3\n")
     result = runner.invoke(main, ["fit", "--in", str(path)])
     assert result.exit_code == 4
-    assert "missing results column(s) distance" in result.output
+    assert "missing results column(s) code, distance" in result.output
 
 
 @pytest.mark.parametrize("row", ["3,0.1,10", "3,0.1,10,abc,0.1,0.1,0.0,0.2"])

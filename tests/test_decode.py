@@ -88,6 +88,40 @@ def test_weights_css_axis_marginalizes():
     assert np.isclose(np.exp(-w.table[0, 0, 1]), 0.1 + 0.1)
 
 
+# the rates 0.001, 0.002, ..., 0.499 of a dephasing scan
+_DEPHASING_RATES = [r / 1000 for r in range(1, 500)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_css_axis_weights_accept_every_dephasing_rate(p):
+    """The unexcited axis sums ``1 - r`` and p - 1 copies of ``r / (p - 1)``, which can round past 1.
+
+    Unclamped, 82, 138 and 32 + 181 rates of this scan were refused at p = 5, 7 and 11.
+    """
+    for kind, axis, r in itertools.product(("dephasing_z", "dephasing_x"), "XZ", _DEPHASING_RATES):
+        table = weights_from_channel(ChannelSpec(kind, r), 3, p=p, css_axis=axis).table
+        assert (table >= 0).all() and np.isfinite(table).any()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_weights_below_p5_are_the_unclamped_log_marginals(p):
+    """At p = 2 and 3 no marginal exceeds 1, so every table is ``-log`` of the plain marginal, bit for bit."""
+    kinds = ("depolarizing", "dephasing_z", "dephasing_x")
+    for kind, axis, r in itertools.product(kinds, (None, "X", "Z"), _DEPHASING_RATES):
+        probs = ChannelSpec(kind, r).site_probs(p)
+        marginal = np.zeros((p, p))
+        if axis is None:
+            marginal = probs
+        elif axis == "X":
+            marginal[0, :] = probs.sum(axis=0)
+        else:
+            marginal[:, 0] = probs.sum(axis=1)
+        with np.errstate(divide="ignore"):
+            expect = -np.log(marginal)
+        table = weights_from_channel(ChannelSpec(kind, r), 2, p=p, css_axis=axis).table
+        assert table[1].tobytes() == expect.tobytes()
+
+
 def test_weight_table_validation():
     with pytest.raises((DecodeError, ValueError)):
         WeightTable(2, 3, np.zeros((2, 2, 2)))  # wrong first dimension

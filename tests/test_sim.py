@@ -11,6 +11,7 @@ import pytest
 
 from qtrellis import code as code_mod
 from qtrellis import sim as sim_mod
+from qtrellis import trellis as trellis_mod
 from qtrellis.code import profile
 from qtrellis.decode import DecodeError, decode_syndromes, logical_flags, measure_syndromes, mode_weights
 from qtrellis.pauli import PauliString
@@ -185,15 +186,44 @@ def test_exact_rate_refuses_the_block_decoder():
 def test_exact_rate_charges_each_decode_to_its_work_cap(monkeypatch):
     """[[20,4,6]] under Z noise has a trivial ``S_ch`` but 2^16 decodes over 1,223,336 edges.
 
-    The decodes alone exceed the cap, and the refusal comes from the profiles,
-    before any trellis is built.
+    The decodes alone exceed the cap, and the refusal comes from the profile,
+    before any section is enumerated.
     """
     code = code_mod.builtin("codetable_20_4_6")
-    monkeypatch.setattr(sim_mod, "build", None)
+
+    def no_span(*args):
+        raise AssertionError("a trellis section was enumerated")
+
+    monkeypatch.setattr(trellis_mod.ffield, "span", no_span)
     start = time.perf_counter()
     with pytest.raises(CapacityError, match="work cap"):
         exact_rate(code, ChannelSpec("dephasing_z", 0.05), "full")
     assert time.perf_counter() - start < 1.0
+
+
+def test_exact_rate_refuses_an_s_ch_trellis_over_its_budget_as_a_work_cap():
+    """Surface d = 5 ``css`` under depolarizing noise: 2^24 syndromes leave ``S_ch`` 61 of its 2,024 edges."""
+    with pytest.raises(CapacityError, match="work cap"):
+        exact_rate(code_mod.builtin("rotated_surface", 5), ChannelSpec("depolarizing", 0.1), "css")
+
+
+@pytest.mark.parametrize("name,decoder,kind,calls", [
+    ("codetable_20_13_3", "full", "depolarizing", 2),
+    ("rotated_surface", "css", "dephasing_z", 3),
+])
+def test_exact_rate_resolves_each_source_once(monkeypatch, name, decoder, kind, calls):
+    """One ``to_tof`` per decoder source and one for ``S_ch``, which dephasing on surface d = 3 also has."""
+    code = code_mod.builtin(name, 3 if name == "rotated_surface" else None)
+    count = []
+
+    def counted(gens, to_tof=code_mod.to_tof):
+        count.append(len(gens))
+        return to_tof(gens)
+
+    monkeypatch.setattr(code_mod, "to_tof", counted)
+    monkeypatch.setattr(trellis_mod, "to_tof", counted)
+    exact_rate(code, ChannelSpec(kind, 0.1), decoder)
+    assert len(count) == calls
 
 
 def test_exact_rate_refuses_counts_beyond_int64():
